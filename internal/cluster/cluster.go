@@ -199,6 +199,10 @@ type Sim struct {
 
 	resetDone []bool
 	ran       bool
+
+	// stepped, when set, runs after every member step (the chaos
+	// harness's invariant hook).
+	stepped func(*sched.Engine)
 }
 
 // healEntry is one replica the healing pass still owes the cluster:
@@ -651,6 +655,9 @@ func (s *Sim) Run() (Result, error) {
 			s.deliverArrivals(limit)
 		}
 		e.StepOne()
+		if s.stepped != nil {
+			s.stepped(e)
+		}
 	}
 
 	res := Result{

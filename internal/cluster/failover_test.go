@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/mmsim/staggered/internal/fault"
+	"github.com/mmsim/staggered/internal/sched"
 )
 
 // TestDispatchSkipsDeadMembers is the unit pass over the three
@@ -92,8 +93,9 @@ func chaosFailoverConfig(n int, dispatch string, seed uint64) Config {
 // is re-admitted or counted dropped, no arrival is lost while a live
 // member exists, and the dispatch ledger balances — every routed
 // arrival was either admitted (Requests) or refused at a full station
-// pool (OpenRejected), nothing double-counted, nothing vanished.  CI
-// runs this under -race.
+// pool (OpenRejected), nothing double-counted, nothing vanished.  After
+// every member step the waiting-request structure is checked too
+// (Engine.CheckQueue).  CI runs this under -race.
 func TestChaosFailover(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		for _, dispatch := range Policies() {
@@ -108,6 +110,11 @@ func TestChaosFailover(t *testing.T) {
 				sim, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
+				}
+				sim.stepped = func(e *sched.Engine) {
+					if err := e.CheckQueue(); err != nil {
+						t.Fatalf("interval %d: %v", e.Now()-1, err)
+					}
 				}
 				res, err := sim.Run()
 				if err != nil {

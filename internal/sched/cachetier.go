@@ -214,11 +214,10 @@ func (e *Engine) cacheStagingAborted(object int) {
 		req := request{station: int(p.Station), object: object, arrived: int(p.Arrived)}
 		// Already counted in requests at original arrival — this is the
 		// queueing tail of record, not a new reference.
-		e.queue = append(e.queue, req)
 		e.pinned[object]++
 		e.lfu.Touch(object)
 		e.emit(EvRequest, object, req.station, "follower detached")
-		e.tech.onEnqueue(req)
+		e.tech.push(req)
 	}
 }
 

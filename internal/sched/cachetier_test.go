@@ -139,10 +139,10 @@ func checkCacheConservation(t *testing.T, e *Engine) {
 			got, e.completedTotal, e.abortedTotal, active, e.activeFollowers)
 	}
 	if e.cfg.ThinkMeanSeconds == 0 && e.open == nil {
-		total := len(e.queue) + active + e.activeFollowers + e.pendingFollowers
+		total := e.QueuedRequests() + active + e.activeFollowers + e.pendingFollowers
 		if total != e.cfg.Stations {
 			t.Errorf("station conservation violated: queue %d + active %d + followers %d + pending %d != stations %d",
-				len(e.queue), active, e.activeFollowers, e.pendingFollowers, e.cfg.Stations)
+				e.QueuedRequests(), active, e.activeFollowers, e.pendingFollowers, e.cfg.Stations)
 		}
 	}
 	if e.pendingFollowers < 0 || e.activeFollowers < 0 {

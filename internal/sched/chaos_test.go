@@ -71,8 +71,10 @@ func chaosPlan(s *rng.Stream, d, horizon int) *fault.Plan {
 // techniques and asserts the structural invariants a degraded run
 // must keep: no negative counters, closed-loop station conservation
 // (every station is queued or in delivery at quiescence), and display
-// conservation (admitted = completed + aborted + active).  It runs in
-// -short mode on purpose — scripts/ci.sh puts it under -race.
+// conservation (admitted = completed + aborted + active), and, after
+// every interval, the waiting-request structure (Engine.CheckQueue).
+// It runs in -short mode on purpose — scripts/ci.sh puts it under
+// -race.
 func TestChaos(t *testing.T) {
 	techniques := []struct {
 		key    string
@@ -93,20 +95,29 @@ func TestChaos(t *testing.T) {
 			t.Parallel()
 			s := rng.NewSource(uint64(1000 + i)).Stream("chaos")
 			cfg := chaosConfig(2+s.Intn(10), means[s.Intn(len(means))], uint64(1+i))
+			if i%3 == 0 {
+				// A deep queue: many waiters per object on the
+				// 20-object catalog.
+				cfg.Stations *= 12
+			}
 			cfg.EvictionPressure = s.Intn(2) == 1
 			cfg.Faults = chaosPlan(s, cfg.D, cfg.MeasureIntervals)
 			e, _, err := NewEngineFor(tc.key, cfg, tc.stride)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, runErr := e.RunChecked()
-			if runErr != nil {
-				// Starvation is a legitimate outcome on a tiny farm
-				// under fire — the error just has to be the typed one.
-				if _, ok := runErr.(*StarvationError); !ok {
-					t.Fatalf("RunChecked: %v", runErr)
+			// Step by hand (zero warm-up, so this is Run) to check the
+			// waiting-request structure after every interval.
+			// Starvation is a legitimate outcome on a tiny farm under
+			// fire, so the run itself has no failure mode here.
+			for e.HasPendingWork() {
+				e.StepOne()
+				if err := e.CheckQueue(); err != nil {
+					t.Fatalf("interval %d: %v", e.Now()-1, err)
 				}
 			}
+			e.Close()
+			res := e.Snapshot()
 
 			for _, c := range []struct {
 				name  string
@@ -147,9 +158,9 @@ func TestChaos(t *testing.T) {
 			if out := e.stn.Outstanding(); out != cfg.Stations {
 				t.Errorf("stuck stations: %d outstanding of %d", out, cfg.Stations)
 			}
-			if got := len(e.queue) + active; got != cfg.Stations {
+			if got := e.QueuedRequests() + active; got != cfg.Stations {
 				t.Errorf("station accounting: queue %d + active %d != stations %d",
-					len(e.queue), active, cfg.Stations)
+					e.QueuedRequests(), active, cfg.Stations)
 			}
 
 			// The fault masks must return to the plan's terminal state:

@@ -43,7 +43,14 @@ func (e *Engine) ActiveDisplays() int {
 
 // QueuedRequests returns the number of admitted references still
 // waiting in the disk queue.
-func (e *Engine) QueuedRequests() int { return len(e.queue) }
+func (e *Engine) QueuedRequests() int { return e.tech.queued() }
+
+// CheckQueue verifies the technique's waiting requests against the
+// engine's pin counts: each object's waiters number its pin count, no
+// station waits twice, and arrival order is kept.  It returns the
+// first violation found.  The chaos harnesses call it after every
+// step; it allocates O(stations + objects), so nothing else should.
+func (e *Engine) CheckQueue() error { return e.tech.checkQueue(e.pinned) }
 
 // IdleStations returns how many stations an open-workload engine has
 // free; a closed-loop engine (every station always cycling) reports 0.

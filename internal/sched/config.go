@@ -172,8 +172,8 @@ type Config struct {
 	// clamped to Stations.
 	Shards int
 
-	// Workers bounds the goroutines that process shards (and the
-	// striped engine's admission pre-pass) inside one interval.  0 or 1
+	// Workers bounds the goroutines that process shards inside one
+	// interval.  0 or 1
 	// runs everything inline on the calling goroutine.  Results are
 	// byte-identical at any worker count for a fixed (Seed, Shards):
 	// all cross-shard state is merged sequentially in shard order.

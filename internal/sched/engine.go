@@ -26,8 +26,8 @@ type request struct {
 // staggered placement probes, LFU whole-object eviction) and the
 // virtual-data-replication baseline (cluster-granular claims, dynamic
 // replication, marginal-value replica eviction).  The Engine owns the
-// mechanism — workload wake-ups, the request queue, think-time
-// reissue, window counters, and Result assembly — and calls the
+// mechanism — workload wake-ups, pin counts, think-time reissue,
+// window counters, and Result assembly — and calls the
 // technique at the four points of an interval where policy decides
 // what happens.
 //
@@ -41,9 +41,19 @@ type Technique interface {
 	// bind wires the technique to its engine: validate geometry,
 	// allocate stores and event buckets, and preload the farm.
 	bind(e *Engine) error
-	// onEnqueue observes a newly queued reference, after the engine
-	// has recorded it (queue, pin count, LFU touch, trace event).
-	onEnqueue(req request)
+	// push queues a newly recorded reference, after the engine has
+	// counted it (pin count, LFU touch, trace event).  The technique
+	// owns its waiting requests: push, queued and drainQueue are the
+	// engine's only way to them.
+	push(req request)
+	// queued counts the waiting requests.
+	queued() int
+	// drainQueue empties the waiting requests and returns them in
+	// arrival order, for Engine.Kill's orphan drain.
+	drainQueue() []request
+	// checkQueue verifies the waiting-request structure against the
+	// engine's per-object pin counts (see Engine.CheckQueue).
+	checkQueue(pinned []int32) error
 	// onFault observes one effective fault transition, after the
 	// engine has updated its masks: reconcile technique state — abort
 	// or degrade in-flight work touching the faulted component.  The
@@ -72,9 +82,8 @@ type Technique interface {
 	// layer's popularity dispatch (route to a replica holder).
 	holdsObject(id int) bool
 	// killActive aborts every in-flight policy job — displays, copies,
-	// the staging pipeline — and resets queue-derived technique state
-	// (the engine drains its request queue immediately after, so pin
-	// counts are about to go to zero).  Part of Engine.Kill.
+	// the staging pipeline.  The engine drains the waiting requests
+	// (drainQueue) immediately after.  Part of Engine.Kill.
 	killActive()
 	// onRevive reconciles technique clocks with a restarted engine:
 	// e.now has already jumped past the dead window, so any
@@ -90,7 +99,7 @@ type Technique interface {
 }
 
 // Engine is the shared mechanism of the interval engines: the
-// interval loop, the station wake-up wheel, the admission queue, the
+// interval loop, the station wake-up wheel, the pin counts, the
 // window counters, and Result assembly, parameterized by a Technique
 // that supplies placement, claim granularity, materialization
 // footprint, and replacement policy.  All per-interval work is
@@ -112,7 +121,6 @@ type Engine struct {
 	ownPool bool        // pool created by Prime (vs attached by a cluster driver)
 	primed  bool        // Prime has run: stations seeded, pool live
 
-	queue      []request
 	pinned     []int32             // object -> queued request count
 	wakeups    *sim.TickWheel[int] // interval -> stations whose think time ends
 	wakeupBuf  []int               // reused Due drain buffer
@@ -154,9 +162,9 @@ type Engine struct {
 	diskSlow     []bool
 	slowCount    int
 	faultedDisks []int32 // sorted disks currently down or slow: the active set of the degraded scans
-	tertDown    bool
-	maskEpoch   int // bumped on every effective disk up/down flip
-	hiccupLimit int // consecutive degraded intervals before abort
+	tertDown     bool
+	maskEpoch    int // bumped on every effective disk up/down flip
+	hiccupLimit  int // consecutive degraded intervals before abort
 
 	// Counters (window handling in Run).
 	completed    int
@@ -258,9 +266,7 @@ func NewEngine(cfg Config, tech Technique) (*Engine, error) {
 
 // parallel runs fn(i) for every i in [0, n) — on the worker pool when
 // one is active, inline otherwise.  fn must only write state owned by
-// index i.  Techniques use it for read-only pre-passes (the striped
-// admission annotations, DESIGN.md §11) that fill per-index buffers a
-// sequential consumer then re-validates.
+// index i (a shard's drain or release bucket, DESIGN.md §11).
 func (e *Engine) parallel(n int, fn func(i int)) {
 	if e.pool != nil {
 		e.pool.run(n, fn)
@@ -300,8 +306,8 @@ func (e *Engine) enqueue(s int) {
 	e.record(request{station: r.Station, object: r.Object, arrived: e.now})
 }
 
-// record admits a drawn reference into the engine: queue, pin count,
-// LFU touch, trace event, technique notification.  It is the merge
+// record admits a drawn reference into the engine: pin count, LFU
+// touch, trace event, and the technique's queue.  It is the merge
 // step of the sharded drain and the tail of the sequential enqueue,
 // and always runs on the interval goroutine.
 func (e *Engine) record(req request) {
@@ -314,11 +320,10 @@ func (e *Engine) record(req request) {
 			e.batchAnchor[req.object] = int32(req.arrived)
 		}
 	}
-	e.queue = append(e.queue, req)
 	e.pinned[req.object]++
 	e.lfu.Touch(req.object)
 	e.emit(EvRequest, req.object, req.station, "")
-	e.tech.onEnqueue(req)
+	e.tech.push(req)
 }
 
 // reissue starts station s's next request, after its think time when

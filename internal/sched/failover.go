@@ -59,14 +59,13 @@ func (e *Engine) Kill() KillReport {
 	e.orphaned += rep.Aborted
 	// Queued requests never started: their stations free up here and
 	// their objects go to the cluster for re-admission, FIFO.
-	for _, r := range e.queue {
+	for _, r := range e.tech.drainQueue() {
 		e.pinned[r.object]--
 		e.stn.Complete(r.station)
 		e.emit(EvReject, r.object, r.station, "orphaned")
 		e.reissue(r.station)
 		rep.Orphans = append(rep.Orphans, r.object)
 	}
-	e.queue = e.queue[:0]
 	// Batched pending requests waiting on a queued leader drain the
 	// same way, ascending object order.
 	if e.cache != nil {

@@ -10,10 +10,10 @@ import (
 	"github.com/mmsim/staggered/internal/rng"
 )
 
-// TestMain forces at least two procs: the admission pre-pass gates
+// TestMain forces at least two procs: the sharded release sort gates
 // itself off on single-proc runs (it cannot pay for itself without
 // real concurrency), and CI may run on a single-core box — without
-// this the -race suites would never execute the annotated path.
+// this the -race suites would never execute the parallel path.
 func TestMain(m *testing.M) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		runtime.GOMAXPROCS(2)
@@ -29,7 +29,7 @@ func TestMain(m *testing.M) {
 // worker counts — parallelism decides when shard-local values are
 // computed, never what they are.  ci.sh runs the package under -race,
 // which makes these tests also the no-data-races proof of the shard
-// drains and the admission pre-pass.
+// drains and release sorts.
 
 // shardedConfigs are zero-think configurations spanning the three
 // techniques' hot paths: plain striping, staggered striping with
@@ -85,9 +85,8 @@ func TestShardedMatchesSequential(t *testing.T) {
 // ∈ {1, 2, 8} at the same seed and shard count, across all three
 // techniques, with think time engaged so the per-shard wheels and
 // streams actually carry traffic.  Workers=1 runs everything inline
-// (no pool, no admission pre-pass), so equality across the set also
-// proves the annotated admission path decision-equivalent to the
-// inline one.
+// (no pool), so equality across the set also proves the parallel
+// drains decision-equivalent to the inline ones.
 func TestWorkerInvariance(t *testing.T) {
 	for name, tc := range shardedConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -114,8 +113,8 @@ func TestWorkerInvariance(t *testing.T) {
 }
 
 // TestWorkerInvarianceFaulted repeats the invariance check under an
-// active fault plan: fault-active intervals bypass the admission
-// pre-pass, and that bypass must itself be worker-count independent.
+// active fault plan: degraded scans, aborts and refusals must be
+// worker-count independent too.
 func TestWorkerInvarianceFaulted(t *testing.T) {
 	var results []Result
 	for _, workers := range []int{1, 2, 8} {
@@ -191,9 +190,9 @@ func TestShardedChaos(t *testing.T) {
 			}
 			if cfg.ThinkMeanSeconds == 0 {
 				// Zero think: every station is queued or in delivery.
-				if got := len(e.queue) + active; got != cfg.Stations {
+				if got := e.QueuedRequests() + active; got != cfg.Stations {
 					t.Errorf("station accounting: queue %d + active %d != stations %d",
-						len(e.queue), active, cfg.Stations)
+						e.QueuedRequests(), active, cfg.Stations)
 				}
 			}
 		})

@@ -11,8 +11,8 @@ import (
 )
 
 // workerPool is a bounded pool of persistent goroutines for the
-// intra-interval parallel phases (shard drains, admission pre-pass
-// chunks).  The engines call run millions of times per sweep, so the
+// intra-interval parallel phases (shard drains and release sorts).
+// The engines call run millions of times per sweep, so the
 // pool keeps its goroutines parked on a channel instead of spawning
 // per interval, and run hands out work through a shared atomic cursor
 // so uneven chunks self-balance.
@@ -26,7 +26,7 @@ type workerPool struct {
 	tasks chan poolTask
 	wg    sync.WaitGroup // goroutine lifetime, for close
 	// concurrent records whether the pool's goroutines can actually run
-	// simultaneously (GOMAXPROCS > 1 at creation).  Optional pre-passes
+	// simultaneously (GOMAXPROCS > 1 at creation).  Optional phases
 	// that only trade sequential work for parallel work consult it: on
 	// a single-proc run they cannot pay for themselves and skip — a
 	// performance gate only, never a correctness one (results are

@@ -3,6 +3,8 @@ package sched
 import (
 	"fmt"
 	"math/bits"
+	"slices"
+	"strconv"
 
 	"github.com/mmsim/staggered/internal/core"
 	"github.com/mmsim/staggered/internal/fault"
@@ -56,20 +58,20 @@ type stripedTech struct {
 
 	// Display arena.  Slot s's stream i lives at s·stride+i in the
 	// stream arena; stride is the maximum degree of declustering.
-	dStation []int32
-	dObject  []int32
-	dFirst   []int32 // disk of the object's fragment (0,0)
-	dTau0    []int32 // admission interval
-	dTmax    []int32
-	dSeq     []int32 // admission sequence, monotone across slot reuse
-	dM       []int32 // stream count (the object's degree)
-	dDone    []bool  // delivery completed or aborted
-	dDeg     []int32 // consecutive degraded intervals
-	dDegAt   []int32 // last degraded interval, -2 = never
+	dStation  []int32
+	dObject   []int32
+	dFirst    []int32 // disk of the object's fragment (0,0)
+	dTau0     []int32 // admission interval
+	dTmax     []int32
+	dSeq      []int32 // admission sequence, monotone across slot reuse
+	dM        []int32 // stream count (the object's degree)
+	dDone     []bool  // delivery completed or aborted
+	dDeg      []int32 // consecutive degraded intervals
+	dDegAt    []int32 // last degraded interval, -2 = never
 	sVdisk    []int32 // stream -> serving virtual disk, -1 released
 	sT        []int32 // stream -> alignment delay T_i
 	stride    int
-	minDegree int // smallest degree any object needs; prepare's farm gate
+	minDegree int // smallest degree any object needs; admit's farm-full gate
 
 	nextSeq  int32
 	active   int     // displays currently in delivery
@@ -77,26 +79,35 @@ type stripedTech struct {
 
 	ready []bool // object resident and fully materialized
 
+	// Waiting requests (DESIGN.md §11): one FIFO waiter list per
+	// object, intrusive over per-station columns (a station has at most
+	// one outstanding request), plus the index of objects that have
+	// waiters, ordered by their head waiter's arrival sequence.  The
+	// admission scan walks objects, not requests.
+	wNext    []int32    // station -> next waiter of the same object; the lists are circular
+	wSeq     []uint32   // station -> arrival sequence, compared wrap-safely (seqBefore)
+	wArrived []int32    // station -> arrival interval
+	wTail    []int32    // object -> its last waiter (whose wNext is the head), -1 = none
+	waitIdx  []waitHead // objects with waiters, ascending head sequence
+	nQueued  int
+	pushSeq  uint32
+
 	// coldQueued counts queued requests whose object is not ready —
 	// the sum of pin counts over not-ready objects, maintained at
-	// every enqueue and readiness flip.  Together with the farm-full
+	// every push and readiness flip.  Together with the farm-full
 	// check it gates the admission scan: when it is zero and the farm
-	// cannot fit even the smallest object, the whole scan would re-keep
-	// every entry unchanged, so admit skips it entirely.
+	// cannot fit even the smallest object, every waiter would stay
+	// where it is, so admit skips (or stops) the walk.
 	coldQueued int
 
-	// probeObj memoizes, per object, the interval its contiguous
-	// admission probe last ran.  Within one scan disks only get busier,
-	// so once an object's contiguous probe has been consumed this
-	// interval — whether it admitted a display onto those very disks or
-	// was refuted — every later contiguous probe of the same object
-	// must fail; only the fragmented fallback can still start it.
-	probeObj []int32
+	// Degraded-mode state, allocated only when a fault plan is set.
+	playEpoch []int32 // object -> maskEpoch its playability was memoized at
+	playOK    []bool  // memoized playability under the current mask
 
-	// Degraded-mode state (only exercised when a fault plan is set).
-	playEpoch []int32   // object -> maskEpoch its playability was memoized at
-	playOK    []bool    // memoized playability under the current mask
-	rejectBuf []request // unplayable admissions, refused after the queue swap
+	// Admission scratch (reused every interval).
+	cursors []waitCursor // later waiters still able to change the outcome, a min-heap by sequence
+	moved   []waitHead   // objects whose head waiter left the queue this scan
+	rejects []request    // unplayable waiters, refused in arrival order after the scan
 
 	// Event rings: what fires at a given interval, indexed by
 	// interval mod the ring length.  Every event is scheduled at most
@@ -123,19 +134,6 @@ type stripedTech struct {
 	dShard     []int32 // display slot -> owning shard (arena column)
 	mergeHeads []int   // per-shard merge cursors (scratch)
 
-	// Admission pre-pass annotations (DESIGN.md §11): per queue index,
-	// computed worker-parallel by prepare at the top of admit and
-	// consulted by the sequential scan that follows.  Annotations are
-	// pure reads of state that cannot change between the two (queued
-	// objects are pin-protected from eviction; virtual-disk numbering
-	// is fixed within an interval); the scan still re-validates every
-	// occupancy and readiness check before committing.
-	annEpoch int // interval the annotations were computed at, -1 = none
-	annLen   int // annotated queue prefix length
-	ann      []int8
-	annFirst []int32
-	annVids  []int32 // qi·stride+j -> virtual disk of contiguous stream j
-
 	// Reusable scratch buffers (hot path, zero steady-state allocs).
 	vidScratch  []int
 	tsScratch   []int
@@ -156,15 +154,6 @@ type stripedTech struct {
 const (
 	freeSlot int32 = -1
 	matOwner int32 = -2
-)
-
-// Annotation states of the admission pre-pass.
-const (
-	annNone     int8 = iota // not annotated: inline path
-	annNotReady             // object not ready at prepare time
-	annOther                // ready but placement probe failed: inline path
-	annReady                // ready, placed, contiguous disks free; annFirst/annVids hold the probe
-	annBlocked              // ready, placed, but a contiguous disk is busy: only the fragmented fallback can start it
 )
 
 // Striped is the striping-family engine (simple striping is the
@@ -225,12 +214,19 @@ func (t *stripedTech) bind(e *Engine) error {
 	}
 	t.byObject = make([]int32, cfg.Objects)
 	t.ready = make([]bool, cfg.Objects)
-	t.probeObj = make([]int32, cfg.Objects)
-	t.playEpoch = make([]int32, cfg.Objects)
-	t.playOK = make([]bool, cfg.Objects)
-	for i := range t.playEpoch {
-		t.probeObj[i] = -1
-		t.playEpoch[i] = -1
+	t.wNext = make([]int32, cfg.Stations)
+	t.wSeq = make([]uint32, cfg.Stations)
+	t.wArrived = make([]int32, cfg.Stations)
+	t.wTail = make([]int32, cfg.Objects)
+	for i := range t.wTail {
+		t.wTail[i] = -1
+	}
+	if e.faultEvents != nil {
+		t.playEpoch = make([]int32, cfg.Objects)
+		t.playOK = make([]bool, cfg.Objects)
+		for i := range t.playEpoch {
+			t.playEpoch[i] = -1
+		}
 	}
 	t.horizon = horizon
 	t.releases = make([][]streamRef, horizon)
@@ -246,7 +242,6 @@ func (t *stripedTech) bind(e *Engine) error {
 	t.tsScratch = make([]int, maxDegree)
 	t.zeroTs = make([]int, maxDegree)
 	t.matObject = -1
-	t.annEpoch = -1
 	for i := range t.vbusy {
 		t.vbusy[i] = freeSlot
 	}
@@ -277,12 +272,6 @@ func (t *stripedTech) bind(e *Engine) error {
 }
 
 func (t *stripedTech) name() string { return StripingTechniqueName(t.cfg) }
-
-func (t *stripedTech) onEnqueue(r request) {
-	if !t.ready[r.object] {
-		t.coldQueued++
-	}
-}
 
 // setReady flips an object's readiness and keeps coldQueued — the
 // admission scan's materialization-wait gate — in sync with the
@@ -418,8 +407,7 @@ func (t *stripedTech) abortDisplay(d int32) {
 // drains the queue right after), then every in-flight display aborts
 // through the same typed path a disk fault uses.  Pooled slots have
 // dDone set, so the arena walk naturally skips them.  After the walk
-// every virtual disk is free and no queued request pins anything, so
-// the coldQueued gate resets to zero.
+// every virtual disk is free; the engine drains the waiters next.
 func (t *stripedTech) killActive() {
 	if t.matObject >= 0 {
 		t.abortStaging()
@@ -430,19 +418,14 @@ func (t *stripedTech) killActive() {
 		}
 	}
 	t.coalescing = t.coalescing[:0]
-	t.coldQueued = 0
-	t.annEpoch = -1
 }
 
 // onRevive needs no ring surgery: every event scheduled before the
 // kill is stale in a self-validating way (aborted streams have
 // sVdisk −1 and aborted displays have dDone set, and both consumers
 // revalidate), so entries left in skipped slots are dropped the next
-// time their slot comes around.  The probe memo compares for interval
-// equality, so pre-kill values cannot false-hit either.
-func (t *stripedTech) onRevive() {
-	t.annEpoch = -1
-}
+// time their slot comes around.
+func (t *stripedTech) onRevive() {}
 
 // adoptObject places a copy of id for the replica-healing pass without
 // consuming tertiary time — the cluster layer's per-window budget is
@@ -495,7 +478,7 @@ func (t *stripedTech) playable(obj int) bool {
 	}
 	ok := true
 	if p, resident := t.store.Placement(obj); resident {
-		ok = !t.footprintHitsDown(p.First, t.cfg.Degree(obj))
+		ok = !t.footprintHitsDown(p.First, t.degree(obj))
 	}
 	t.playEpoch[obj] = int32(e.maskEpoch)
 	t.playOK[obj] = ok
@@ -830,8 +813,8 @@ func (t *stripedTech) stepTertiary() {
 	}
 	p, _ := t.store.Placement(obj)
 	w := t.cfg.Tertiary.DisksOccupied(t.cfg.BDisk)
-	if w > t.cfg.Degree(obj) {
-		w = t.cfg.Degree(obj)
+	if w > t.degree(obj) {
+		w = t.degree(obj)
 	}
 	vids := t.vidScratch[:w]
 	for j := 0; j < w; j++ {
@@ -864,10 +847,12 @@ func (t *stripedTech) tryPlace(obj int) bool {
 	if !t.makeRoom(obj) {
 		return false
 	}
-	if _, err := t.store.Place(obj, t.cfg.Degree(obj), t.cfg.Subobjects); err != nil {
+	if _, err := t.store.Place(obj, t.degree(obj), t.cfg.Subobjects); err != nil {
 		return false
 	}
-	t.playEpoch[obj] = -1 // re-placed: the playability memo is stale
+	if t.playEpoch != nil {
+		t.playEpoch[obj] = -1 // re-placed: the playability memo is stale
+	}
 	return true
 }
 
@@ -957,7 +942,7 @@ func (t *stripedTech) finishMaterialization() {
 // object's evictability.
 func (t *stripedTech) makeRoom(obj int) bool {
 	e := t.eng
-	need := t.cfg.Degree(obj) * t.cfg.Subobjects
+	need := t.degree(obj) * t.cfg.Subobjects
 	if t.store.FreeFragments() >= need {
 		return true
 	}
@@ -1000,321 +985,322 @@ func (t *stripedTech) evictable(id int) bool {
 // run the (O(free disks × M)) Algorithm-1 search in one interval.
 const fragmentedAttemptsPerInterval = 8
 
-// prepare runs the read-only half of the admission scan
-// worker-parallel, invoked by admit after stream releases and the
-// tertiary step so it sees the interval's final occupancy and
-// readiness: per queued request, the ready check, the placement
-// lookup, and the virtual-disk numbers of a contiguous admission this
-// interval.  admit then only probes occupancy and commits.  The
-// annotations cannot go stale between prepare and the scan — a queued
-// object is pin-protected from eviction and re-placement, and vdiskOf
-// depends only on the interval number.  Two situations skip the
-// pre-pass and fall back to the inline scan: fault-active intervals
-// (playability would need the sequential memo) and a farm too full to
-// admit even the smallest object — the common case in a saturated
-// closed system, where annotating a 10k-entry queue nobody can join
-// would be pure overhead.
-func (t *stripedTech) prepare() {
-	e := t.eng
-	t.annEpoch = -1
-	// The pre-pass trades one sequential admission scan for a parallel
-	// annotation pass plus a cheaper scan — a win only when the chunks
-	// actually run concurrently.  On a single-proc run (pool.concurrent
-	// false) it is pure overhead, so skip it; the inline scan computes
-	// the identical decisions.
-	if e.pool == nil || !e.pool.concurrent || e.faultActive() || len(e.queue) == 0 {
-		return
-	}
-	free := t.cfg.D - t.busy
-	if free < t.minDegree {
-		return
-	}
-	q := e.queue
-	n := len(q)
-	if cap(t.ann) < n {
-		t.ann = make([]int8, n)
-		t.annFirst = make([]int32, n)
-		t.annVids = make([]int32, n*t.stride)
-	}
-	t.ann = t.ann[:n]
-	t.annFirst = t.annFirst[:n]
-	t.annVids = t.annVids[:n*t.stride]
-	// Over-chunk relative to the worker count so uneven entries (mixed
-	// degrees, cold objects) self-balance on the pool's shared cursor.
-	chunks := e.workers() * 4
-	if chunks > n {
-		chunks = n
-	}
-	per := (n + chunks - 1) / chunks
-	e.parallel(chunks, func(c int) {
-		lo := c * per
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		for qi := lo; qi < hi; qi++ {
-			r := q[qi]
-			if !t.ready[r.object] {
-				t.ann[qi] = annNotReady
-				continue
-			}
-			pFirst, ok := t.store.FirstDisk(r.object)
-			if !ok {
-				t.ann[qi] = annOther
-				continue
-			}
-			m := t.cfg.Degree(r.object)
-			if m > free {
-				// More streams than the farm has free at scan start:
-				// occupancy only shrinks during the scan, so this entry
-				// cannot be admitted — don't compute its disks.
-				t.ann[qi] = annOther
-				continue
-			}
-			// Run the contiguous probe here against the frozen occupancy,
-			// with the same early break the inline probe uses.  vbusy
-			// does not change until the sequential scan commits
-			// admissions, and the scan only makes disks busier — so a
-			// probe refuted now stays refuted, and annBlocked entries
-			// skip the re-probe entirely.
-			t.annFirst[qi] = int32(pFirst)
-			base := qi * t.stride
-			blocked := false
-			for j := 0; j < m; j++ {
-				v := t.vdiskOf((pFirst + j) % t.cfg.D)
-				if t.vbusy[v] != freeSlot {
-					blocked = true
-					break
-				}
-				t.annVids[base+j] = int32(v)
-			}
-			if blocked {
-				t.ann[qi] = annBlocked
-				continue
-			}
-			t.ann[qi] = annReady
-		}
-	})
-	t.annEpoch = e.now
-	t.annLen = n
+// cmpSeq orders two arrival sequences wrap-safely: a station has at
+// most one request outstanding, so live sequences span far less than
+// 2^31 and their difference fits an int32.
+func cmpSeq(a, b uint32) int { return int(int32(a - b)) }
+
+func seqBefore(a, b uint32) bool { return cmpSeq(a, b) < 0 }
+
+// waitHead is one entry of the object index: an object with waiters,
+// its head waiter s and that waiter's arrival sequence, kept inline so
+// the walk reads the index sequentially and touches the per-station
+// columns only for waiters that leave the queue.
+type waitHead struct {
+	seq uint32
+	obj int32
+	s   int32
 }
 
-// admit scans the queue in arrival order and starts every display
-// whose disks are free, per §3.1's use of idle time intervals for new
-// requests.  Non-resident objects are routed to the tertiary manager.
-// With FCFSStrict the scan stops at the first request that cannot
-// start (head-of-line blocking).  A request whose object needs more
-// disks than the whole farm has free is skipped without probing.
-// When prepare annotated the queue this interval, annotated entries
-// take the pre-computed fast path; entries past the annotated prefix
-// (enqueued by this interval's completions) and entries whose
-// annotation went stale run the original inline logic.
+// waitCursor addresses one waiter during the admission walk: station s
+// waiting for obj, whose predecessor in the circular list is prev, or
+// -1 for a head (its predecessor is the tail, looked up when needed).
+type waitCursor struct {
+	waitHead
+	prev int32
+}
+
+// Outcomes of one waiter's admission attempt.
+const (
+	waitKept = iota
+	waitAdmitted
+	waitRejected
+)
+
+// push appends a reference to its object's waiter list.  An object
+// gaining its first waiter joins the end of the index, which keeps the
+// index sorted: no waiter already queued arrived later.
+func (t *stripedTech) push(r request) {
+	s, obj := int32(r.station), r.object
+	t.wSeq[s] = t.pushSeq
+	t.pushSeq++
+	t.wArrived[s] = int32(r.arrived)
+	if tail := t.wTail[obj]; tail < 0 {
+		t.wNext[s] = s
+		t.waitIdx = append(t.waitIdx, waitHead{seq: t.wSeq[s], obj: int32(obj), s: s})
+	} else {
+		t.wNext[s] = t.wNext[tail]
+		t.wNext[tail] = s
+	}
+	t.wTail[obj] = s
+	t.nQueued++
+	if !t.ready[obj] {
+		t.coldQueued++
+	}
+}
+
+func (t *stripedTech) queued() int { return t.nQueued }
+
+// head returns obj's index entry, built from its waiter list.
+func (t *stripedTech) head(obj int32) waitHead {
+	s := t.wNext[t.wTail[obj]]
+	return waitHead{seq: t.wSeq[s], obj: obj, s: s}
+}
+
+// degree is Config.Degree without copying the Config on the hot path.
+func (t *stripedTech) degree(obj int) int {
+	if t.cfg.Degrees != nil {
+		return t.cfg.Degrees[obj]
+	}
+	return t.cfg.M
+}
+
+// unlink removes waiter s, whose predecessor is prev, from obj's list.
+func (t *stripedTech) unlink(obj int, prev, s int32) {
+	if prev == s {
+		t.wTail[obj] = -1
+	} else {
+		t.wNext[prev] = t.wNext[s]
+		if t.wTail[obj] == s {
+			t.wTail[obj] = prev
+		}
+	}
+	t.nQueued--
+}
+
+// drainQueue empties every waiter list, returning the waiters in
+// arrival order.
+func (t *stripedTech) drainQueue() []request {
+	dst := make([]request, 0, t.nQueued)
+	for _, h := range t.waitIdx {
+		obj := h.obj
+		tail := t.wTail[obj]
+		for s := t.wNext[tail]; ; s = t.wNext[s] {
+			dst = append(dst, request{station: int(s), object: int(obj), arrived: int(t.wArrived[s])})
+			if s == tail {
+				break
+			}
+		}
+		t.wTail[obj] = -1
+	}
+	slices.SortFunc(dst, func(a, b request) int {
+		return cmpSeq(t.wSeq[a.station], t.wSeq[b.station])
+	})
+	t.waitIdx = t.waitIdx[:0]
+	t.nQueued, t.coldQueued = 0, 0
+	return dst
+}
+
+// settled reports that no waiter can change anything this interval:
+// the farm cannot fit even the smallest object, no waiter needs a
+// materialization requested, and no fault can refuse one.
+func (t *stripedTech) settled() bool {
+	return t.coldQueued == 0 && t.cfg.D-t.busy < t.minDegree && !t.eng.faultActive()
+}
+
+// admit fills idle disks per §3.1: in arrival order, every waiting
+// request whose disks are free starts, and non-resident objects are
+// routed to the tertiary manager.  With FCFSStrict the scan stops at
+// the first request that cannot start (head-of-line blocking).
+//
+// The walk visits objects, not requests (DESIGN.md §11).  Within one
+// scan disks only get busier, so once an object's head waiter has run
+// the contiguous probe — admitted onto those disks or refuted — every
+// later waiter of the object would fail it too.  Later waiters are
+// visited only while they can still change the outcome, and then in
+// exact arrival order, merged into the index walk from a small heap:
+// while Algorithm-1 budget is left, when the object's layout is
+// unplayable under a fault (every waiter is refused), and under
+// FCFSStrict (the first failure stops the scan).
 func (t *stripedTech) admit() {
-	e := t.eng
-	if len(e.queue) == 0 {
+	if t.nQueued == 0 || t.settled() {
 		return
 	}
-	// Fast path: a saturated closed system spends most intervals with
-	// the farm too full to admit even the smallest object.  When no
-	// queued request is waiting on a materialization either (so the
-	// scan has no tertiary requests to forward) and no fault is active
-	// (so no playability rejections are pending), every entry would be
-	// re-kept unchanged — skip the whole scan.
-	if t.coldQueued == 0 && t.cfg.D-t.busy < t.minDegree && !e.faultActive() {
-		return
-	}
-	t.prepare()
-	annotated := t.annEpoch == e.now
-	kept := e.queue[:0]
-	fragBudget := fragmentedAttemptsPerInterval
-	// faultFree is loop-invariant: fault transitions apply before the
-	// interval's technique phases, so playability cannot change inside
-	// one scan.
-	faultFree := !e.faultActive()
-	noFrag := !t.cfg.Fragmented
-scan:
-	for qi, r := range e.queue {
-		if annotated && qi < t.annLen {
-			switch t.ann[qi] {
-			case annNotReady:
-				if t.ready[r.object] {
-					break // defensive: annotation contradicts live state — go inline
-				}
-				e.tman.Request(r.object)
-				kept = append(kept, r)
-				if t.cfg.FCFSStrict {
-					kept = append(kept, e.queue[qi+1:]...)
-					break scan
-				}
-				continue
-			case annReady:
-				// Still ready and still at annFirst: queued objects are
-				// pin-protected from eviction, so only the occupancy
-				// probes need fresh answers.
-				if t.cfg.D-t.busy >= t.cfg.Degree(r.object) && t.tryAdmitAnn(r, qi, &fragBudget) {
-					e.pinned[r.object]--
-					continue
-				}
-				kept = append(kept, r)
-				if t.cfg.FCFSStrict {
-					kept = append(kept, e.queue[qi+1:]...)
-					break scan
-				}
-				continue
-			case annBlocked:
-				// The contiguous probe was refuted against the frozen
-				// occupancy and disks only get busier during the scan,
-				// so skip it; the fragmented fallback (which reads the
-				// live free set) is the only remaining way in — exactly
-				// what the inline probe would have reached.  The
-				// refutation also consumes the object's probe memo.
-				t.probeObj[r.object] = int32(e.now)
-				if t.cfg.D-t.busy >= t.cfg.Degree(r.object) &&
-					t.tryFragmented(r, int(t.annFirst[qi]), t.cfg.Degree(r.object), &fragBudget) {
-					e.pinned[r.object]--
-					continue
-				}
-				kept = append(kept, r)
-				if t.cfg.FCFSStrict {
-					kept = append(kept, e.queue[qi+1:]...)
-					break scan
-				}
-				continue
-			}
-			// annOther: fall through to the inline path.
-		}
-		if !t.ready[r.object] {
-			e.tman.Request(r.object)
-			kept = append(kept, r)
-			if t.cfg.FCFSStrict {
-				kept = append(kept, e.queue[qi+1:]...)
-				break
-			}
-			continue
-		}
-		// Memo fast path: the object's contiguous probe was already
-		// consumed this interval, and the fragmented fallback cannot
-		// fire (disabled, or its per-interval budget is spent) — the
-		// full path below would deterministically re-keep this entry
-		// (no fault is active, so no playability rejection is pending
-		// either).  Skip the placement lookup and the probe entirely.
-		if faultFree && (noFrag || fragBudget <= 0) && t.probeObj[r.object] == int32(e.now) {
-			kept = append(kept, r)
-			if t.cfg.FCFSStrict {
-				kept = append(kept, e.queue[qi+1:]...)
-				break
-			}
-			continue
-		}
-		first, ok := t.store.FirstDisk(r.object)
-		if !ok { // evicted between materialization and admission
-			t.setReady(r.object, false)
-			e.tman.Request(r.object)
-			kept = append(kept, r)
-			if t.cfg.FCFSStrict {
-				kept = append(kept, e.queue[qi+1:]...)
-				break
-			}
-			continue
-		}
-		if !t.playable(r.object) {
-			// The layout's stride orbit crosses a down disk: admitting
-			// would guarantee hiccups or an abort, so refuse instead.
-			// Deferred past the queue swap — kept aliases the queue's
-			// backing array, and the rejection path reissues the
-			// station, which must append to the NEW queue.
-			t.rejectBuf = append(t.rejectBuf, r)
-			continue
-		}
-		if t.cfg.D-t.busy >= t.cfg.Degree(r.object) && t.tryAdmit(r, first, &fragBudget) {
-			e.pinned[r.object]--
-			continue
-		}
-		kept = append(kept, r)
-		if t.cfg.FCFSStrict {
-			kept = append(kept, e.queue[qi+1:]...)
+	budget := fragmentedAttemptsPerInterval
+	strict := t.cfg.FCFSStrict
+	idx := t.waitIdx
+	kept := idx[:0] // objects whose head stays, compacted in place
+	i := 0
+	for !t.settled() {
+		var c waitCursor
+		head := i < len(idx) && (len(t.cursors) == 0 || seqBefore(idx[i].seq, t.cursors[0].seq))
+		if head {
+			c = waitCursor{waitHead: idx[i], prev: -1}
+			i++
+		} else if len(t.cursors) > 0 {
+			c = t.popCursor()
+		} else {
 			break
 		}
-	}
-	e.queue = kept
-	if len(t.rejectBuf) > 0 {
-		for _, r := range t.rejectBuf {
-			e.countReject(r)
+		obj := int(c.obj)
+		outcome := t.visit(obj, c.s, !head, &budget)
+		if head {
+			if outcome == waitKept {
+				kept = append(kept, c.waitHead)
+			} else {
+				t.moved = append(t.moved, c.waitHead)
+			}
 		}
-		t.rejectBuf = t.rejectBuf[:0]
+		if outcome == waitKept && strict {
+			break
+		}
+		more := strict || outcome == waitRejected || t.laterMayAdmit(obj, budget)
+		if outcome == waitKept && !more {
+			continue
+		}
+		if c.prev < 0 {
+			c.prev = t.wTail[obj]
+		}
+		last, next, prev := c.s == t.wTail[obj], t.wNext[c.s], c.s
+		if outcome != waitKept {
+			t.unlink(obj, c.prev, c.s)
+			prev = c.prev
+		}
+		if more && !last {
+			t.pushCursor(waitCursor{waitHead: waitHead{seq: t.wSeq[next], obj: c.obj, s: next}, prev: prev})
+		}
+	}
+	kept = append(kept, idx[i:]...)
+	t.cursors = t.cursors[:0]
+	t.restoreIndex(kept)
+	if len(t.rejects) > 0 {
+		// Visited in arrival order, so refused in arrival order.
+		for _, r := range t.rejects {
+			t.eng.countReject(r)
+		}
+		t.rejects = t.rejects[:0]
 	}
 }
 
-// contigConsumed consults and consumes the object's contiguous-probe
-// memo for this interval.  A hit means a contiguous probe of obj
-// already ran this scan — it either admitted a display onto exactly
-// the disks a re-probe would test or was refuted — and since disks
-// only get busier within a scan, a re-probe must fail; callers go
-// straight to the fragmented fallback.
-func (t *stripedTech) contigConsumed(obj int) bool {
-	if t.probeObj[obj] == int32(t.eng.now) {
-		return true
-	}
-	t.probeObj[obj] = int32(t.eng.now)
-	return false
+// laterMayAdmit reports whether a waiter behind obj's head could still
+// start this scan: only Algorithm 1 can, and only with budget left and
+// room on the farm (both only shrink during a scan).
+func (t *stripedTech) laterMayAdmit(obj, budget int) bool {
+	return t.cfg.Fragmented && budget > 0 && t.ready[obj] && t.cfg.D-t.busy >= t.degree(obj)
 }
 
-// tryAdmit attempts a contiguous admission, falling back to
-// time-fragmented admission (Algorithm 1) for the queue head when
-// enabled.
-func (t *stripedTech) tryAdmit(r request, first int, fragBudget *int) bool {
-	m := t.cfg.Degree(r.object)
-	if t.contigConsumed(r.object) {
-		return t.tryFragmented(r, first, m, fragBudget)
+// visit runs one waiter's admission attempt.  later marks a waiter
+// behind its object's head: the head already took the object's
+// contiguous probe this scan, so only Algorithm 1 can still start it.
+func (t *stripedTech) visit(obj int, s int32, later bool, budget *int) int {
+	e := t.eng
+	if !t.ready[obj] {
+		e.tman.Request(obj) // idempotent: only the first waiter's call queues work
+		return waitKept
 	}
-	// Contiguous: the M disks of subobject 0 must be free right now.
+	first, ok := t.store.FirstDisk(obj)
+	if !ok { // evicted between materialization and admission
+		t.setReady(obj, false)
+		e.tman.Request(obj)
+		return waitKept
+	}
+	if !t.playable(obj) {
+		// The layout's stride orbit crosses a down disk: admitting
+		// would guarantee hiccups or an abort, so refuse instead —
+		// after the scan, since the refusal reissues the station.
+		t.rejects = append(t.rejects, t.waiter(obj, s))
+		return waitRejected
+	}
+	m := t.degree(obj)
+	if t.cfg.D-t.busy < m {
+		return waitKept
+	}
+	if !later && t.tryContiguous(obj, s, first, m) || t.tryFragmented(obj, s, first, m, budget) {
+		e.pinned[obj]--
+		return waitAdmitted
+	}
+	return waitKept
+}
+
+// waiter returns the request station s waits on obj with.
+func (t *stripedTech) waiter(obj int, s int32) request {
+	return request{station: int(s), object: obj, arrived: int(t.wArrived[s])}
+}
+
+// restoreIndex rebuilds the object index after a scan: kept is the
+// untouched, still ordered part; the few objects whose head left are
+// sorted by their new head and merged in from the back, in place, and
+// emptied ones drop out.  Every moved object came out of the index, so
+// the merge fits in the index's backing array.
+func (t *stripedTech) restoreIndex(kept []waitHead) {
+	moved := t.moved[:0]
+	for _, h := range t.moved {
+		if t.wTail[h.obj] >= 0 {
+			moved = append(moved, t.head(h.obj))
+		}
+	}
+	t.moved = moved[:0]
+	slices.SortFunc(moved, func(a, b waitHead) int { return cmpSeq(a.seq, b.seq) })
+	i, j := len(kept)-1, len(moved)-1
+	out := kept[:len(kept)+len(moved)]
+	for k := len(out) - 1; j >= 0; k-- {
+		if i >= 0 && seqBefore(moved[j].seq, kept[i].seq) {
+			out[k] = kept[i]
+			i--
+		} else {
+			out[k] = moved[j]
+			j--
+		}
+	}
+	t.waitIdx = out
+}
+
+// pushCursor and popCursor keep t.cursors a min-heap by sequence.
+func (t *stripedTech) pushCursor(c waitCursor) {
+	h := append(t.cursors, c)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !seqBefore(h[i].seq, h[p].seq) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	t.cursors = h
+}
+
+func (t *stripedTech) popCursor() waitCursor {
+	h := t.cursors
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && seqBefore(h[r].seq, h[m].seq) {
+			m = r
+		}
+		if !seqBefore(h[m].seq, h[i].seq) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	t.cursors = h
+	return top
+}
+
+// tryContiguous starts r on the M virtual disks under subobject 0's
+// fragments when all of them are free right now.
+func (t *stripedTech) tryContiguous(obj int, s int32, first, m int) bool {
 	vids := t.vidScratch[:m]
-	okContig := true
 	for j := 0; j < m; j++ {
 		v := t.vdiskOf((first + j) % t.cfg.D)
 		if t.vbusy[v] != freeSlot {
-			okContig = false
-			break
+			return false
 		}
 		vids[j] = v
 	}
-	if okContig {
-		t.start(r, first, vids, t.zeroTs[:m], 0)
-		return true
-	}
-	return t.tryFragmented(r, first, m, fragBudget)
-}
-
-// tryAdmitAnn is tryAdmit on a pre-annotated entry: the contiguous
-// virtual-disk numbers were computed by prepare, so only the vbusy
-// probes run here, in the same order with the same answers the inline
-// probe would produce.
-func (t *stripedTech) tryAdmitAnn(r request, qi int, fragBudget *int) bool {
-	m := t.cfg.Degree(r.object)
-	if t.contigConsumed(r.object) {
-		return t.tryFragmented(r, int(t.annFirst[qi]), m, fragBudget)
-	}
-	base := qi * t.stride
-	vids := t.vidScratch[:m]
-	okContig := true
-	for j := 0; j < m; j++ {
-		v := int(t.annVids[base+j])
-		if t.vbusy[v] != freeSlot {
-			okContig = false
-			break
-		}
-		vids[j] = v
-	}
-	if okContig {
-		t.start(r, int(t.annFirst[qi]), vids, t.zeroTs[:m], 0)
-		return true
-	}
-	return t.tryFragmented(r, int(t.annFirst[qi]), m, fragBudget)
+	t.start(t.waiter(obj, s), first, vids, t.zeroTs[:m], 0)
+	return true
 }
 
 // tryFragmented runs the Algorithm-1 time-fragmented admission over
 // all currently free disks.
-func (t *stripedTech) tryFragmented(r request, first, m int, fragBudget *int) bool {
+func (t *stripedTech) tryFragmented(obj int, s int32, first, m int, fragBudget *int) bool {
 	if !t.cfg.Fragmented || *fragBudget <= 0 {
 		return false
 	}
@@ -1353,7 +1339,7 @@ func (t *stripedTech) tryFragmented(r request, first, m int, fragBudget *int) bo
 		gvids[i] = t.vdiskOf(z)
 		ts[i] = a.T[i]
 	}
-	t.start(r, first, gvids, ts, a.Tmax)
+	t.start(t.waiter(obj, s), first, gvids, ts, a.Tmax)
 	return true
 }
 
@@ -1407,7 +1393,9 @@ func (t *stripedTech) start(r request, first int, vids, ts []int, tmax int) {
 	t.byObject[r.object]++
 	e.noteAdmit(r, tmax)
 	if e.tracer != nil {
-		e.emit(EvAdmit, r.object, r.station, fmt.Sprintf("first=%d tmax=%d", first, tmax))
+		// Concatenation, not Sprintf: a traced hot-set run admits tens
+		// of thousands of displays, and formatting would dominate it.
+		e.emit(EvAdmit, r.object, r.station, "first="+strconv.Itoa(first)+" tmax="+strconv.Itoa(tmax))
 	}
 }
 
@@ -1460,7 +1448,7 @@ func (t *stripedTech) coalesce() {
 			}
 			e.coalescings++
 			if e.tracer != nil {
-				e.emit(EvCoalesce, int(t.dObject[d]), int(t.dStation[d]), fmt.Sprintf("fragment %d", i))
+				e.emit(EvCoalesce, int(t.dObject[d]), int(t.dStation[d]), "fragment "+strconv.Itoa(i))
 			}
 		}
 		if pending {

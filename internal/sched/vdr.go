@@ -63,10 +63,10 @@ type vdrTech struct {
 	// unsharded ascending-cluster order exactly.  All revalidation
 	// (stale entries, duplicate same-interval entries) stays in the
 	// sequential apply loop.
-	endShards []*sim.TickWheel[int]
-	endBufs   [][]int
-	copyTargets  []int               // object -> in-flight disk-to-disk copies
-	totalCopies  int                 // total in-flight disk-to-disk copies
+	endShards   []*sim.TickWheel[int]
+	endBufs     [][]int
+	copyTargets []int // object -> in-flight disk-to-disk copies
+	totalCopies int   // total in-flight disk-to-disk copies
 
 	objScratch  []int // eviction-plan candidate scratch
 	dropScratch []int // eviction-plan drop scratch
@@ -79,7 +79,8 @@ type vdrTech struct {
 	jobDegraded []int     // cluster -> consecutive degraded display intervals
 	rejectBuf   []request // unservable admissions, refused after the queue swap
 
-	totalRefs int64 // references issued, for popularity shares
+	queue     []request // waiting requests, arrival order
+	totalRefs int64     // references issued, for popularity shares
 
 	// Replication stagings wait in their own low-priority queue:
 	// misses (real users waiting for a cold object) always reach the
@@ -218,7 +219,21 @@ func (t *vdrTech) bind(e *Engine) error {
 
 func (t *vdrTech) name() string { return VDRName }
 
-func (t *vdrTech) onEnqueue(request) { t.totalRefs++ }
+// push queues a reference at the end of the arrival-order queue: VDR
+// admits several waiters of one object per interval (one per idle
+// replica), so its scan stays a walk over requests.
+func (t *vdrTech) push(r request) {
+	t.queue = append(t.queue, r)
+	t.totalRefs++
+}
+
+func (t *vdrTech) queued() int { return len(t.queue) }
+
+func (t *vdrTech) drainQueue() []request {
+	q := t.queue
+	t.queue = nil
+	return q
+}
 
 // interval runs one interval of VDR policy: cluster job endings,
 // tertiary progress, then the admission scan; it returns the busy
@@ -756,8 +771,8 @@ func (t *vdrTech) executePlan(c int, drop []int) bool {
 // manager.
 func (t *vdrTech) admit() {
 	e := t.eng
-	kept := e.queue[:0]
-	for _, r := range e.queue {
+	kept := t.queue[:0]
+	for _, r := range t.queue {
 		if !t.store.Resident(r.object) {
 			if t.matObject != r.object {
 				e.tman.Request(r.object)
@@ -787,7 +802,7 @@ func (t *vdrTech) admit() {
 		}
 		kept = append(kept, r)
 	}
-	e.queue = kept
+	t.queue = kept
 	if len(t.rejectBuf) > 0 {
 		for _, r := range t.rejectBuf {
 			e.countReject(r)

@@ -160,7 +160,9 @@ func (m *Manager) Request(id int) bool {
 		return false
 	}
 	if id >= len(m.queued) {
-		next := make([]bool, id+1)
+		// Grow geometrically: sizing to exactly id+1 would copy O(n²)
+		// bytes over a run of rising ids.
+		next := make([]bool, max(id+1, 2*len(m.queued)))
 		copy(next, m.queued)
 		m.queued = next
 	}

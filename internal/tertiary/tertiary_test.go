@@ -219,6 +219,35 @@ func TestManagerRequeueAfterFinish(t *testing.T) {
 	}
 }
 
+// TestManagerAscendingIDsGrowGeometrically requests rising ids, the
+// pattern of a catalog staged in id order: the queued set must grow by
+// doubling, not reallocate (and copy) per new id.
+func TestManagerAscendingIDsGrowGeometrically(t *testing.T) {
+	const n = 1 << 14
+	var m *Manager
+	allocs := testing.AllocsPerRun(1, func() {
+		m = NewManager()
+		for id := 0; id < n; id++ {
+			if !m.Request(id) {
+				t.Fatalf("Request(%d) not accepted as new work", id)
+			}
+		}
+	})
+	// Two slices (queue and queued set), each doubling to n, plus the
+	// manager itself: ~2·log2(n) allocations.  Per-id growth is n.
+	if allocs > 64 {
+		t.Errorf("%v allocations for %d ascending requests, want <= 64", allocs, n)
+	}
+	for id := 0; id < n; id++ {
+		if !m.Pending(id) {
+			t.Fatalf("id %d not pending after its request", id)
+		}
+	}
+	if m.Pending(n) || m.QueueLen() != n {
+		t.Errorf("Pending(%d) = %v, QueueLen = %d, want false, %d", n, m.Pending(n), m.QueueLen(), n)
+	}
+}
+
 func BenchmarkManagerCycle(b *testing.B) {
 	m := NewManager()
 	for i := 0; i < b.N; i++ {

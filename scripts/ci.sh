@@ -17,14 +17,21 @@ go test -short -race ./...
 echo "== go test (full suites: goldens, E18, fault integration)"
 go test ./...
 
+echo "== benchmark module: vet and tests (digests, BENCHMARK.json parity, tiny workloads)"
+# perfbench is a module of its own, so ./... above never reaches it.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== short benchmarks (interval engines)"
 go test -bench 'BenchmarkFigure8a$|BenchmarkTable4$' -benchmem -benchtime 3x -run '^$' .
+
+echo "== admission-scan microbenchmarks (hot queue, spread queue)"
+go test -bench 'BenchmarkAdmit' -benchmem -benchtime 50x -run '^$' ./internal/sched
 
 echo "== kernel calendar microbenchmarks (short mode)"
 go test -bench 'BenchmarkCalendar' -benchmem -benchtime 100000x -run '^$' ./internal/sim
 
-echo "== golden dumps (52-config sweep + staggered strides, byte-identical)"
-go test -run 'TestGoldenSweep$|TestGoldenStaggered$|TestStaggeredKMMatchesSimpleGolden$' ./internal/sched
+echo "== golden dumps (52-config sweep + staggered strides + hot queues, byte-identical)"
+go test -run 'TestGoldenSweep$|TestGoldenStaggered$|TestStaggeredKMMatchesSimpleGolden$|TestGoldenHotQueue$' ./internal/sched
 
 echo "== sharded engine under the race detector (workers=4, 100x trajectory)"
 # GOMAXPROCS floor of 2: on a single-core CI box the pool would gate
