@@ -82,6 +82,14 @@ func run() (code int) {
 		fmt.Fprintf(os.Stderr, "ssim: unknown scale %q\n", *scaleFlag)
 		return 2
 	}
+	if *servers < 1 {
+		fmt.Fprintf(os.Stderr, "ssim: -servers must be at least 1, got %d\n", *servers)
+		return 2
+	}
+	if *cacheMB < 0 {
+		fmt.Fprintf(os.Stderr, "ssim: -cachemb must be non-negative, got %d\n", *cacheMB)
+		return 2
+	}
 
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {

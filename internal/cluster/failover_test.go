@@ -16,13 +16,12 @@ import (
 // members over a drained corpse reporting zero load, and an all-dead
 // cluster yields -1.
 func TestDispatchSkipsDeadMembers(t *testing.T) {
-	sim, err := New(multiConfig("popularity", 0))
+	sim, err := New(multiConfig("popularity"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range sim.engines {
 		e.Prime()
-		defer e.Close()
 	}
 
 	// An object only member 0 holds: while 0 is alive popularity routes

@@ -63,7 +63,7 @@ func benchAdmit(b *testing.B, cfg Config) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Engine.step and stripedTech.interval for this configuration
-		// (closed loop, zero think time, no faults, cache, shards or
+		// (closed loop, zero think time, no faults, cache or
 		// coalescing), with the admission phase timed on its own.
 		t.rot = (t.cfg.K * e.now) % t.cfg.D
 		t.finishDue()

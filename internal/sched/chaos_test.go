@@ -11,7 +11,13 @@ import (
 
 // chaosScenarios is how many randomized fault scenarios the chaos
 // harness runs.  The acceptance floor is 200; a few more cost little.
-const chaosScenarios = 240
+// The scenarios from chaosThinkFrom on add think time, so stations
+// also leave the queue for the wake-up wheel; choosing them by index
+// keeps the draws, and so the configs, of the zero-think ones fixed.
+const (
+	chaosScenarios = 320
+	chaosThinkFrom = 240
+)
 
 // chaosConfig is a tiny farm that still exercises every subsystem:
 // materialization pressure (farm fits ~15 of 20 objects), mixed
@@ -70,9 +76,10 @@ func chaosPlan(s *rng.Stream, d, horizon int) *fault.Plan {
 // TestChaos runs hundreds of seeded fault scenarios across all
 // techniques and asserts the structural invariants a degraded run
 // must keep: no negative counters, closed-loop station conservation
-// (every station is queued or in delivery at quiescence), and display
-// conservation (admitted = completed + aborted + active), and, after
-// every interval, the waiting-request structure (Engine.CheckQueue).
+// (every station is queued, in delivery, or thinking at quiescence),
+// and display conservation (admitted = completed + aborted + active),
+// and, after every interval, the waiting-request structure
+// (Engine.CheckQueue).
 // It runs in -short mode on purpose — scripts/ci.sh puts it under
 // -race.
 func TestChaos(t *testing.T) {
@@ -102,6 +109,9 @@ func TestChaos(t *testing.T) {
 			}
 			cfg.EvictionPressure = s.Intn(2) == 1
 			cfg.Faults = chaosPlan(s, cfg.D, cfg.MeasureIntervals)
+			if i >= chaosThinkFrom {
+				cfg.ThinkMeanSeconds = 10
+			}
 			e, _, err := NewEngineFor(tc.key, cfg, tc.stride)
 			if err != nil {
 				t.Fatal(err)
@@ -116,7 +126,6 @@ func TestChaos(t *testing.T) {
 					t.Fatalf("interval %d: %v", e.Now()-1, err)
 				}
 			}
-			e.Close()
 			res := e.Snapshot()
 
 			for _, c := range []struct {
@@ -153,14 +162,19 @@ func TestChaos(t *testing.T) {
 					res.Displays, e.completedTotal, res.AbortedDisplays, e.abortedTotal)
 			}
 
-			// Closed-loop station conservation: with zero think time
-			// every station is either queued or in delivery; none leak.
-			if out := e.stn.Outstanding(); out != cfg.Stations {
-				t.Errorf("stuck stations: %d outstanding of %d", out, cfg.Stations)
+			// Closed-loop station conservation: every station is
+			// queued, in delivery, or on the wake-up wheel thinking
+			// (never, with zero think time); none leak.
+			out, thinking := e.stn.Outstanding(), e.wakeups.Len()
+			if cfg.ThinkMeanSeconds == 0 && thinking > 0 {
+				t.Errorf("%d stations thinking with zero think time", thinking)
 			}
-			if got := e.QueuedRequests() + active; got != cfg.Stations {
-				t.Errorf("station accounting: queue %d + active %d != stations %d",
-					e.QueuedRequests(), active, cfg.Stations)
+			if out+thinking != cfg.Stations {
+				t.Errorf("stuck stations: %d outstanding + %d thinking of %d", out, thinking, cfg.Stations)
+			}
+			if got := e.QueuedRequests() + active; got != out {
+				t.Errorf("station accounting: queue %d + active %d != outstanding %d",
+					e.QueuedRequests(), active, out)
 			}
 
 			// The fault masks must return to the plan's terminal state:

@@ -37,7 +37,6 @@ func TestZipfFlipReconverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	e.Prime()
 	for e.Now() < cfg.WarmupIntervals {
 		e.StepOne()
@@ -116,7 +115,6 @@ func TestRunCheckedAlreadyRun(t *testing.T) {
 		a.StepOne()
 	}
 	got := a.Snapshot()
-	a.Close()
 	if _, err := a.RunChecked(); err != ErrAlreadyRun {
 		t.Fatalf("RunChecked after stepping returned %v, want ErrAlreadyRun", err)
 	}

@@ -209,7 +209,6 @@ func hotQueueKillDump(t *testing.T) string {
 			e.StepOne()
 		}
 		res := e.Snapshot()
-		e.Close()
 		fmt.Fprintf(&b, "kill-%s-k%d: queued=%d aborted=%d orphans=%v\n", key, k, queued, rep.Aborted, rep.Orphans)
 		fmt.Fprintf(&b, "kill-%s-k%d-revived: %+v %s\n", key, k, res, digest())
 	}

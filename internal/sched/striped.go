@@ -122,18 +122,6 @@ type stripedTech struct {
 	coalescing  []int32       // displays with a stream still to coalesce
 	pool        []int32       // recycled contiguous display slots
 
-	// Sharded finishDue partitioning (DESIGN.md §11), nil when the
-	// engine runs unsharded.  Release and completion buckets are kept
-	// per owning shard (indexed shard·horizon + interval%horizon) so
-	// the drain's sort half can run on the worker pool with no shared
-	// writes; the apply half merges shards by admission sequence,
-	// reproducing the unsharded processing order exactly — Results are
-	// byte-identical at any worker count.
-	relShards  [][]streamRef
-	compShards [][]int32
-	dShard     []int32 // display slot -> owning shard (arena column)
-	mergeHeads []int   // per-shard merge cursors (scratch)
-
 	// Reusable scratch buffers (hot path, zero steady-state allocs).
 	vidScratch  []int
 	tsScratch   []int
@@ -231,11 +219,6 @@ func (t *stripedTech) bind(e *Engine) error {
 	t.horizon = horizon
 	t.releases = make([][]streamRef, horizon)
 	t.completions = make([][]int32, horizon)
-	if e.shards != nil {
-		t.relShards = make([][]streamRef, e.shards.n*horizon)
-		t.compShards = make([][]int32, e.shards.n*horizon)
-		t.mergeHeads = make([]int, e.shards.n)
-	}
 	t.stride = maxDegree
 	t.minDegree = minDegree
 	t.vidScratch = make([]int, maxDegree)
@@ -576,7 +559,6 @@ func (t *stripedTech) allocSlot() int32 {
 	t.dDone = append(t.dDone, false)
 	t.dDeg = append(t.dDeg, 0)
 	t.dDegAt = append(t.dDegAt, -2)
-	t.dShard = append(t.dShard, 0)
 	for i := 0; i < t.stride; i++ {
 		t.sVdisk = append(t.sVdisk, -1)
 		t.sT = append(t.sT, 0)
@@ -646,13 +628,7 @@ func (t *stripedTech) applyCompletion(d int32, reissue []int) []int {
 // completes displays whose delivery has ended; completed stations
 // immediately reissue (zero think time).  Both are bucket lookups:
 // only the streams and displays that actually fire now are touched.
-// Sharded engines keep the buckets partitioned by owning shard and
-// take the parallel drain below.
 func (t *stripedTech) finishDue() {
-	if t.relShards != nil {
-		t.finishDueSharded()
-		return
-	}
 	e := t.eng
 	slot := e.now % t.horizon
 	if refs := t.releases[slot]; len(refs) > 0 {
@@ -667,108 +643,6 @@ func (t *stripedTech) finishDue() {
 		reissue := e.reissueBuf[:0]
 		for _, d := range ds {
 			reissue = t.applyCompletion(d, reissue)
-		}
-		for _, s := range reissue {
-			e.reissue(s)
-		}
-		e.reissueBuf = reissue[:0]
-	}
-}
-
-// finishDueSharded drains the per-shard release/completion buckets:
-// the sort half runs on the worker pool (shard buckets are disjoint
-// and sorting reads only the frozen dSeq column), then the apply half
-// k-way-merges the shards by admission sequence on the interval
-// goroutine.  The merged order equals the global (dSeq, stream) order
-// the unsharded drain produces, so Results are byte-identical at any
-// worker count — including worker count one.
-func (t *stripedTech) finishDueSharded() {
-	e := t.eng
-	nsh := e.shards.n
-	slot := e.now % t.horizon
-	work := 0
-	for s := 0; s < nsh; s++ {
-		work += len(t.relShards[s*t.horizon+slot])
-	}
-	// Sort each shard's release bucket by admission sequence.  The
-	// parallel path self-gates: it only pays when the pool's workers
-	// can actually run concurrently and the buckets hold enough refs.
-	if work > 0 {
-		sortShard := func(s int) {
-			sortReleases(t.relShards[s*t.horizon+slot], t.dSeq)
-		}
-		if e.pool != nil && e.pool.concurrent && work >= 64 {
-			e.parallel(nsh, sortShard)
-		} else {
-			for s := 0; s < nsh; s++ {
-				sortShard(s)
-			}
-		}
-		// Merge-apply in global (dSeq, stream) order.
-		heads := t.mergeHeads
-		for s := range heads {
-			heads[s] = 0
-		}
-		for {
-			best := -1
-			var bref streamRef
-			for s := 0; s < nsh; s++ {
-				b := t.relShards[s*t.horizon+slot]
-				if heads[s] >= len(b) {
-					continue
-				}
-				ref := b[heads[s]]
-				if best < 0 || t.dSeq[ref.slot] < t.dSeq[bref.slot] ||
-					(t.dSeq[ref.slot] == t.dSeq[bref.slot] && ref.i < bref.i) {
-					best, bref = s, ref
-				}
-			}
-			if best < 0 {
-				break
-			}
-			heads[best]++
-			t.applyRelease(bref)
-		}
-		for s := 0; s < nsh; s++ {
-			t.relShards[s*t.horizon+slot] = t.relShards[s*t.horizon+slot][:0]
-		}
-	}
-	// Completions: per-shard buckets are appended in admission order,
-	// so each is already ascending in dSeq — merge directly.
-	anyComp := false
-	for s := 0; s < nsh; s++ {
-		if len(t.compShards[s*t.horizon+slot]) > 0 {
-			anyComp = true
-			break
-		}
-	}
-	if anyComp {
-		heads := t.mergeHeads
-		for s := range heads {
-			heads[s] = 0
-		}
-		reissue := e.reissueBuf[:0]
-		for {
-			best := -1
-			var bd int32
-			for s := 0; s < nsh; s++ {
-				b := t.compShards[s*t.horizon+slot]
-				if heads[s] >= len(b) {
-					continue
-				}
-				d := b[heads[s]]
-				if best < 0 || t.dSeq[d] < t.dSeq[bd] {
-					best, bd = s, d
-				}
-			}
-			if best < 0 {
-				break
-			}
-			heads[best]++
-			reissue = t.applyCompletion(bd, reissue)
-		}
-		for s := 0; s < nsh; s++ {
-			t.compShards[s*t.horizon+slot] = t.compShards[s*t.horizon+slot][:0]
 		}
 		for _, s := range reissue {
 			e.reissue(s)
@@ -1360,11 +1234,6 @@ func (t *stripedTech) start(r request, first int, vids, ts []int, tmax int) {
 	t.dDone[d] = false
 	t.dDeg[d] = 0
 	t.dDegAt[d] = -2 // never degraded: -2 is adjacent to no interval
-	ringOff := 0
-	if t.relShards != nil {
-		t.dShard[d] = e.shards.shardOf[r.station]
-		ringOff = int(t.dShard[d]) * t.horizon
-	}
 	base := int(d) * t.stride
 	for i := range vids {
 		if t.vbusy[vids[i]] != freeSlot {
@@ -1374,18 +1243,10 @@ func (t *stripedTech) start(r request, first int, vids, ts []int, tmax int) {
 		t.sVdisk[base+i] = int32(vids[i])
 		t.sT[base+i] = int32(ts[i])
 		slot := (e.now + ts[i] + n) % t.horizon
-		if t.relShards != nil {
-			t.relShards[ringOff+slot] = append(t.relShards[ringOff+slot], streamRef{slot: d, i: int32(i)})
-		} else {
-			t.releases[slot] = append(t.releases[slot], streamRef{slot: d, i: int32(i)})
-		}
+		t.releases[slot] = append(t.releases[slot], streamRef{slot: d, i: int32(i)})
 	}
 	slot := (e.now + tmax + n) % t.horizon // deliveryEnd + 1
-	if t.relShards != nil {
-		t.compShards[ringOff+slot] = append(t.compShards[ringOff+slot], d)
-	} else {
-		t.completions[slot] = append(t.completions[slot], d)
-	}
+	t.completions[slot] = append(t.completions[slot], d)
 	if tmax > 0 {
 		t.coalescing = append(t.coalescing, d)
 	}
@@ -1440,12 +1301,7 @@ func (t *stripedTech) coalesce() {
 			t.sVdisk[base+i] = int32(ideal)
 			t.sT[base+i] = int32(tmax)
 			slot := (tau0 + tmax + n) % t.horizon
-			if t.relShards != nil {
-				ringOff := int(t.dShard[d]) * t.horizon
-				t.relShards[ringOff+slot] = append(t.relShards[ringOff+slot], streamRef{slot: d, i: int32(i)})
-			} else {
-				t.releases[slot] = append(t.releases[slot], streamRef{slot: d, i: int32(i)})
-			}
+			t.releases[slot] = append(t.releases[slot], streamRef{slot: d, i: int32(i)})
 			e.coalescings++
 			if e.tracer != nil {
 				e.emit(EvCoalesce, int(t.dObject[d]), int(t.dStation[d]), "fragment "+strconv.Itoa(i))
