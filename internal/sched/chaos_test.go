@@ -186,6 +186,61 @@ func TestChaos(t *testing.T) {
 	}
 }
 
+// TestShardedChaos is a second, independently seeded slice of the
+// chaos harness, half of it closed-loop with think time.  It is named
+// for the sharded drain it was first written against; the engine now
+// runs one sequential path, and the slice keeps the same 81 configs.
+// The structural invariants of a degraded run (display and station
+// conservation, no negative counters) must hold at quiescence.
+func TestShardedChaos(t *testing.T) {
+	techniques := []struct {
+		key    string
+		stride int
+	}{
+		{"striped", 0},
+		{"staggered", 2},
+		{"vdr", 0},
+	}
+	means := []float64{5, 10, 15}
+	for i := 0; i < 81; i++ {
+		i := i
+		tc := techniques[i%len(techniques)]
+		t.Run(fmt.Sprintf("%03d-%s-k%d", i, tc.key, tc.stride), func(t *testing.T) {
+			t.Parallel()
+			s := rng.NewSource(uint64(7000 + i)).Stream("chaos")
+			cfg := chaosConfig(2+s.Intn(10), means[s.Intn(len(means))], uint64(1+i))
+			cfg.EvictionPressure = s.Intn(2) == 1
+			cfg.Faults = chaosPlan(s, cfg.D, cfg.MeasureIntervals)
+			cfg.ThinkMeanSeconds = float64(s.Intn(2)) * 10 // half zero-think, half closed-loop
+			e, _, err := NewEngineFor(tc.key, cfg, tc.stride)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, runErr := e.RunChecked()
+			if runErr != nil {
+				if _, ok := runErr.(*StarvationError); !ok {
+					t.Fatalf("RunChecked: %v", runErr)
+				}
+			}
+			active := e.tech.activeDisplays()
+			if e.admittedTotal != e.completedTotal+e.abortedTotal+active {
+				t.Errorf("display conservation violated: admitted %d != completed %d + aborted %d + active %d",
+					e.admittedTotal, e.completedTotal, e.abortedTotal, active)
+			}
+			if e.downCount < 0 || e.slowCount < 0 {
+				t.Errorf("mask drift: downCount %d, slowCount %d", e.downCount, e.slowCount)
+			}
+			if cfg.ThinkMeanSeconds == 0 {
+				// Zero think: every station is queued or in delivery.
+				if got := e.QueuedRequests() + active; got != cfg.Stations {
+					t.Errorf("station accounting: queue %d + active %d != stations %d",
+						e.QueuedRequests(), active, cfg.Stations)
+				}
+			}
+		})
+	}
+}
+
 // TestChaosDeterministic pins that a faulted run is exactly as
 // reproducible as a clean one.
 func TestChaosDeterministic(t *testing.T) {
