@@ -87,7 +87,9 @@ func chaosFailoverConfig(n int, dispatch string, seed uint64) Config {
 
 // TestChaosFailover is the seeded cluster chaos pass with a member
 // kill in the mix: N ∈ {2, 4} members, disk faults on member 0, and a
-// kill+restart window on the last member, under every dispatch policy.
+// kill+restart window on the last member, under every dispatch policy,
+// for striped members and for VDR members (the vdr- subtests, which
+// also heal replicas, so VDR's Kill, Revive and adoptObject all run).
 // The invariants a degraded cluster must keep: every orphaned request
 // is re-admitted or counted dropped, no arrival is lost while a live
 // member exists, and the dispatch ledger balances — every routed
@@ -96,78 +98,93 @@ func chaosFailoverConfig(n int, dispatch string, seed uint64) Config {
 // every member step the waiting-request structure is checked too
 // (Engine.CheckQueue).  CI runs this under -race.
 func TestChaosFailover(t *testing.T) {
-	for _, n := range []int{2, 4} {
-		for _, dispatch := range Policies() {
-			n, dispatch := n, dispatch
-			t.Run(fmt.Sprintf("n%d-%s", n, dispatch), func(t *testing.T) {
-				t.Parallel()
-				cfg := chaosFailoverConfig(n, dispatch, uint64(3+n))
-				cfg.ServerFaults = []*fault.Plan{
-					fault.NewPlan().FailDiskUntil(3, 200, 500).FailDiskUntil(17, 250, 600),
+	for _, technique := range []string{"striped", "vdr"} {
+		for _, n := range []int{2, 4} {
+			for _, dispatch := range Policies() {
+				technique, n, dispatch := technique, n, dispatch
+				name := fmt.Sprintf("n%d-%s", n, dispatch)
+				if technique != "striped" {
+					name = technique + "-" + name
 				}
-				cfg.ServerPlan = fault.NewPlan().FailServerUntil(n-1, 300, 650)
-				sim, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sim.stepped = func(e *sched.Engine) {
-					if err := e.CheckQueue(); err != nil {
-						t.Fatalf("interval %d: %v", e.Now()-1, err)
-					}
-				}
-				res, err := sim.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				if res.OrphanedRequests != res.ReAdmitted+res.ReAdmitDropped {
-					t.Errorf("orphan conservation violated: %d orphaned != %d readmitted + %d dropped",
-						res.OrphanedRequests, res.ReAdmitted, res.ReAdmitDropped)
-				}
-				if res.LostArrivals != 0 {
-					t.Errorf("%d arrivals lost with %d members and one kill", res.LostArrivals, n)
-				}
-				routed := 0
-				for _, r := range res.Routed {
-					routed += r
-				}
-				if got := res.Aggregate.Requests + res.Aggregate.OpenRejected; routed != got {
-					t.Errorf("dispatch ledger off: routed %d != admitted %d + rejected %d",
-						routed, res.Aggregate.Requests, res.Aggregate.OpenRejected)
-				}
-				victim := res.Servers[n-1]
-				if victim.OrphanedDisplays > victim.AbortedDisplays {
-					t.Errorf("victim orphaned %d displays but only aborted %d",
-						victim.OrphanedDisplays, victim.AbortedDisplays)
-				}
-				if res.FailedOver == 0 {
-					t.Errorf("%s never failed over during a 350-interval outage", dispatch)
-				}
-				// The victim was dead 350 of 1000 intervals: its window
-				// must shrink accordingly (the Merge weighting input).
-				if full := res.Servers[0].MeasureSeconds; victim.MeasureSeconds >= full {
-					t.Errorf("victim dead 350 intervals still reports a full window: %v vs %v",
-						victim.MeasureSeconds, full)
-				}
-				if res.Aggregate.Displays == 0 {
-					t.Fatal("degraded cluster delivered zero displays")
-				}
-
-				// Determinism: a kill+restart run replays byte-for-byte.
-				sim2, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res2, err := sim2.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(res, res2) {
-					t.Errorf("same seed, different failover results:\n first %+v\nsecond %+v",
-						res.Aggregate, res2.Aggregate)
-				}
-			})
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					chaosFailover(t, technique, n, dispatch)
+				})
+			}
 		}
+	}
+}
+
+// chaosFailover runs one TestChaosFailover cell.
+func chaosFailover(t *testing.T, technique string, n int, dispatch string) {
+	cfg := chaosFailoverConfig(n, dispatch, uint64(3+n))
+	if technique != "striped" {
+		cfg.Technique = technique
+		cfg.HealBudget = 2
+	}
+	cfg.ServerFaults = []*fault.Plan{
+		fault.NewPlan().FailDiskUntil(3, 200, 500).FailDiskUntil(17, 250, 600),
+	}
+	cfg.ServerPlan = fault.NewPlan().FailServerUntil(n-1, 300, 650)
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.stepped = func(e *sched.Engine) {
+		if err := e.CheckQueue(); err != nil {
+			t.Fatalf("interval %d: %v", e.Now()-1, err)
+		}
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if res.OrphanedRequests != res.ReAdmitted+res.ReAdmitDropped {
+		t.Errorf("orphan conservation violated: %d orphaned != %d readmitted + %d dropped",
+			res.OrphanedRequests, res.ReAdmitted, res.ReAdmitDropped)
+	}
+	if res.LostArrivals != 0 {
+		t.Errorf("%d arrivals lost with %d members and one kill", res.LostArrivals, n)
+	}
+	routed := 0
+	for _, r := range res.Routed {
+		routed += r
+	}
+	if got := res.Aggregate.Requests + res.Aggregate.OpenRejected; routed != got {
+		t.Errorf("dispatch ledger off: routed %d != admitted %d + rejected %d",
+			routed, res.Aggregate.Requests, res.Aggregate.OpenRejected)
+	}
+	victim := res.Servers[n-1]
+	if victim.OrphanedDisplays > victim.AbortedDisplays {
+		t.Errorf("victim orphaned %d displays but only aborted %d",
+			victim.OrphanedDisplays, victim.AbortedDisplays)
+	}
+	if res.FailedOver == 0 {
+		t.Errorf("%s never failed over during a 350-interval outage", dispatch)
+	}
+	// The victim was dead 350 of 1000 intervals: its window
+	// must shrink accordingly (the Merge weighting input).
+	if full := res.Servers[0].MeasureSeconds; victim.MeasureSeconds >= full {
+		t.Errorf("victim dead 350 intervals still reports a full window: %v vs %v",
+			victim.MeasureSeconds, full)
+	}
+	if res.Aggregate.Displays == 0 {
+		t.Fatal("degraded cluster delivered zero displays")
+	}
+
+	// Determinism: a kill+restart run replays byte-for-byte.
+	sim2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2, err := sim2.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, res2) {
+		t.Errorf("same seed, different failover results:\n first %+v\nsecond %+v",
+			res.Aggregate, res2.Aggregate)
 	}
 }
 

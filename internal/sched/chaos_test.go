@@ -79,7 +79,9 @@ func chaosPlan(s *rng.Stream, d, horizon int) *fault.Plan {
 // (every station is queued, in delivery, or thinking at quiescence),
 // and display conservation (admitted = completed + aborted + active),
 // and, after every interval, the waiting-request structure
-// (Engine.CheckQueue).
+// (Engine.CheckQueue).  Every vdr scenario also runs a second time
+// with the admission scan forced every interval, and must come out
+// the same (checkForcedScan).
 // It runs in -short mode on purpose — scripts/ci.sh puts it under
 // -race.
 func TestChaos(t *testing.T) {
@@ -116,6 +118,10 @@ func TestChaos(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var digest func() string
+			if tc.key == "vdr" {
+				digest = traceDigest(e)
+			}
 			// Step by hand (zero warm-up, so this is Run) to check the
 			// waiting-request structure after every interval.
 			// Starvation is a legitimate outcome on a tiny farm under
@@ -127,6 +133,9 @@ func TestChaos(t *testing.T) {
 				}
 			}
 			res := e.Snapshot()
+			if digest != nil {
+				checkForcedScan(t, cfg, false, res, digest())
+			}
 
 			for _, c := range []struct {
 				name  string
@@ -191,7 +200,9 @@ func TestChaos(t *testing.T) {
 // for the sharded drain it was first written against; the engine now
 // runs one sequential path, and the slice keeps the same 81 configs.
 // The structural invariants of a degraded run (display and station
-// conservation, no negative counters) must hold at quiescence.
+// conservation, no negative counters) must hold at quiescence, and
+// every vdr scenario must come out the same with the admission scan
+// forced every interval (checkForcedScan).
 func TestShardedChaos(t *testing.T) {
 	techniques := []struct {
 		key    string
@@ -216,11 +227,18 @@ func TestShardedChaos(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, runErr := e.RunChecked()
+			var digest func() string
+			if tc.key == "vdr" {
+				digest = traceDigest(e)
+			}
+			res, runErr := e.RunChecked()
 			if runErr != nil {
 				if _, ok := runErr.(*StarvationError); !ok {
 					t.Fatalf("RunChecked: %v", runErr)
 				}
+			}
+			if digest != nil {
+				checkForcedScan(t, cfg, true, res, digest())
 			}
 			active := e.tech.activeDisplays()
 			if e.admittedTotal != e.completedTotal+e.abortedTotal+active {
@@ -238,6 +256,37 @@ func TestShardedChaos(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkForcedScan is the differential check of the VDR scan-on-change
+// gate: it re-runs a vdr scenario with the quiet mark invalidated
+// before every StepOne, so the admission scan runs every interval, and
+// fails unless the Result and the trace digest equal the gated run's.
+// window opens the measurement window after Prime, as Run does (the
+// chaos configs have zero warm-up); without it the run is stepped the
+// way TestChaos steps it.
+func checkForcedScan(t *testing.T, cfg Config, window bool, res Result, digest string) {
+	t.Helper()
+	e, _, err := NewEngineFor("vdr", cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forced := traceDigest(e)
+	e.Prime()
+	if window {
+		e.ResetWindow()
+	}
+	vt := e.tech.(*vdrTech)
+	for e.HasPendingWork() {
+		vt.quietAt = -1
+		e.StepOne()
+	}
+	if got := e.Snapshot(); got != res {
+		t.Errorf("forced scan changed the Result:\n  gated:  %+v\n  forced: %+v", res, got)
+	}
+	if got := forced(); got != digest {
+		t.Errorf("forced scan changed the trace: gated %s, forced %s", digest, got)
 	}
 }
 
