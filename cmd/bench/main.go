@@ -204,7 +204,7 @@ func benchFaultRecovery(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Figure8TechniquesOpts(experiment.Quick, 20, []int{16}, 1, nil, opts); err != nil {
+		if _, err := experiment.Sweep(experiment.Quick, []float64{20}, []int{16}, 1, nil, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -242,7 +242,7 @@ func benchStaggeredK1(b *testing.B) {
 	specs := []experiment.TechSpec{{Key: experiment.TechStaggered, Stride: 1}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Figure8Techniques(experiment.Quick, 20, []int{8, 32}, 1, specs); err != nil {
+		if _, err := experiment.Sweep(experiment.Quick, []float64{20}, []int{8, 32}, 1, specs, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

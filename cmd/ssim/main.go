@@ -26,12 +26,10 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/mmsim/staggered/internal/cache"
 	"github.com/mmsim/staggered/internal/cluster"
 	"github.com/mmsim/staggered/internal/experiment"
 	"github.com/mmsim/staggered/internal/fault"
 	"github.com/mmsim/staggered/internal/metrics"
-	"github.com/mmsim/staggered/internal/profiling"
 	"github.com/mmsim/staggered/internal/sched"
 	"github.com/mmsim/staggered/internal/workload"
 )
@@ -43,35 +41,25 @@ func main() {
 // run holds the program body so deferred cleanup (the profile
 // writers) executes before the process exits.
 func run() (code int) {
+	sc := experiment.BindScenarioFlags(flag.CommandLine)
 	technique := flag.String("technique", "striped", "technique key from the registry (see -list-techniques)")
 	stations := flag.Int("stations", 64, "number of display stations (closed system)")
 	dist := flag.Float64("dist", 20, "geometric access-distribution mean (10, 20, 43.5)")
 	stride := flag.Int("stride", 0, "stride k for -technique staggered (0 = technique default)")
-	seed := flag.Uint64("seed", 1, "simulation seed")
 	scaleFlag := flag.String("scale", "full", "full (Table 3) or quick")
 	warmup := flag.Int("warmup", 0, "warm-up intervals (0 = scale default)")
 	measure := flag.Int("measure", 0, "measurement intervals (0 = scale default)")
 	trace := flag.Int("trace", 0, "print the first N scheduler events")
-	faultsFlag := flag.String("faults", "", "fault plan (e.g. 'fail:7@600; slow:3@100-400; tert@0-200; wear:0-9@mttf=500,mttr=50,until=3000')")
-	pressure := flag.Bool("pressure", false, "enable eviction pressure for exact-fit farms (DESIGN.md §10)")
-	cacheMB := flag.Int("cachemb", 0, "prefix-cache budget in MiB (0 = no prefix cache; DESIGN.md §12)")
-	batchWindow := flag.Int("batchwindow", 0, "multicast batch window in intervals (0 = no batching)")
-	cachePolicy := flag.String("cache", "", "cache replacement policy: lru or popularity (default popularity)")
-	zipfSkew := flag.Float64("zipf", 0, "Zipf popularity skew theta (0 = geometric -dist catalog)")
-	arrivals := flag.Float64("arrivals", 0, "open Poisson arrivals per hour (0 = closed loop)")
 	servers := flag.Int("servers", 1, "number of shared-clock servers (>1 requires -arrivals; DESIGN.md §13)")
 	dispatch := flag.String("dispatch", "", "cluster dispatch policy: roundrobin, leastloaded, or popularity (default roundrobin)")
 	healBudget := flag.Int("healbudget", 0, "replicas the cluster re-creates per healing window after a member kill (0 = no healing; DESIGN.md §14)")
 	healWindow := flag.Int("healwindow", 0, "healing-pass cadence in intervals (0 = one display length)")
 	replicaDepth := flag.Int("replicadepth", 0, "replica-ladder depth multiplier for the cluster placement (0 or 1 = default ladder)")
 	sampleEvery := flag.Int("samples", 0, "sample the cluster recovery curve every N intervals (0 = off)")
-	listTech := flag.Bool("list-techniques", false, "list registered techniques and exit")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	if *listTech {
-		printTechniques()
+	if sc.ListTechniques {
+		experiment.PrintTechniques(os.Stdout)
 		return 0
 	}
 
@@ -86,56 +74,32 @@ func run() (code int) {
 		fmt.Fprintf(os.Stderr, "ssim: -servers must be at least 1, got %d\n", *servers)
 		return 2
 	}
-	if *cacheMB < 0 {
-		fmt.Fprintf(os.Stderr, "ssim: -cachemb must be non-negative, got %d\n", *cacheMB)
+	if _, ok := sched.TechniqueByKey(*technique); !ok {
+		fmt.Fprintf(os.Stderr, "ssim: unknown technique %q\n", *technique)
+		experiment.PrintTechniques(os.Stdout)
+		return 2
+	}
+	opts, err := sc.Options()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ssim: %v\n", err)
 		return 2
 	}
 
-	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	stopProfiles, err := sc.StartProfiles("ssim")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ssim: %v\n", err)
 		return 1
 	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintf(os.Stderr, "ssim: %v\n", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}()
+	defer stopProfiles(&code)
 
-	cfg := experiment.BaseConfig(scale, *stations, *dist, *seed)
+	cfg := experiment.BaseConfig(scale, *stations, *dist, sc.Seed)
 	if *warmup > 0 {
 		cfg.WarmupIntervals = *warmup
 	}
 	if *measure > 0 {
 		cfg.MeasureIntervals = *measure
 	}
-	cfg.EvictionPressure = *pressure
-	cfg.ZipfSkew = *zipfSkew
-	cfg.ArrivalsPerHour = *arrivals
-	if *cacheMB > 0 || *batchWindow > 0 {
-		cfg.Cache = &cache.Spec{
-			BudgetBytes: int64(*cacheMB) << 20,
-			BatchWindow: *batchWindow,
-			Policy:      *cachePolicy,
-		}
-	}
-	if *faultsFlag != "" {
-		plan, err := fault.Parse(*faultsFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ssim: %v\n", err)
-			return 2
-		}
-		cfg.Faults = plan
-	}
-
-	if _, ok := sched.TechniqueByKey(*technique); !ok {
-		fmt.Fprintf(os.Stderr, "ssim: unknown technique %q\n", *technique)
-		printTechniques()
-		return 2
-	}
+	opts.Apply(&cfg)
 
 	if *servers > 1 {
 		// A mixed -faults plan splits by scope: disk and tertiary events
@@ -247,13 +211,6 @@ func runCluster(base sched.Config, o clusterOpts) int {
 		}
 	}
 	return 0
-}
-
-// printTechniques lists the registry, one technique per line.
-func printTechniques() {
-	for _, ti := range sched.Techniques() {
-		fmt.Printf("%-10s %s — %s\n", ti.Key, ti.Display, ti.Summary)
-	}
 }
 
 // installTracer prints the first n scheduler events.

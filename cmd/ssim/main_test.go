@@ -50,6 +50,7 @@ func TestBadFlagsExit2(t *testing.T) {
 		{[]string{"-scale", "quick", "-servers", "0"}, "-servers"},
 		{[]string{"-scale", "quick", "-servers", "-2"}, "-servers"},
 		{[]string{"-scale", "quick", "-cachemb", "-1"}, "-cachemb"},
+		{[]string{"-scale", "quick", "-batchwindow", "-1"}, "-batchwindow"},
 		{[]string{"-scale", "huge"}, "scale"},
 	} {
 		code, stderr := runSSIM(t, tc.args...)

@@ -34,12 +34,9 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/mmsim/staggered/internal/cache"
 	"github.com/mmsim/staggered/internal/cluster"
 	"github.com/mmsim/staggered/internal/experiment"
-	"github.com/mmsim/staggered/internal/fault"
 	"github.com/mmsim/staggered/internal/metrics"
-	"github.com/mmsim/staggered/internal/profiling"
 	"github.com/mmsim/staggered/internal/sched"
 	"github.com/mmsim/staggered/internal/workload"
 )
@@ -51,155 +48,140 @@ func main() {
 // run holds the program body so deferred cleanup (the profile
 // writers) executes before the process exits.
 func run() (code int) {
+	sc := experiment.BindScenarioFlags(flag.CommandLine)
 	scaleFlag := flag.String("scale", "full", "experiment scale: full (Table 3), quick, or a scale-mode trajectory (10x, 100x, 1000x)")
 	dist := flag.Float64("dist", 0, "run a single distribution mean (10, 20, or 43.5); 0 = all")
 	stationsFlag := flag.String("stations", "", "comma-separated station counts; empty = paper sweep 1..256")
-	seed := flag.Uint64("seed", 1, "simulation seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of text tables")
 	techFlag := flag.String("technique", "", "comma-separated technique keys (see -list-techniques); empty = paper pair striped,vdr")
 	stride := flag.Int("k", 0, "stride k for the staggered technique (0 = technique default)")
-	listTech := flag.Bool("list-techniques", false, "list registered techniques and exit")
-	faultsFlag := flag.String("faults", "", "fault plan injected into every run (e.g. 'fail:7@600; slow:3@100-400; tert@0-200; wear:0-9@mttf=500,mttr=50,until=3000')")
-	pressure := flag.Bool("pressure", false, "enable eviction pressure for exact-fit farms (DESIGN.md §10)")
 	e18Flag := flag.Bool("e18", false, "run the E18 availability experiment and exit")
 	e19Flag := flag.Bool("e19", false, "run the E19 cache-size sweep and exit")
 	e20Flag := flag.Bool("e20", false, "run the E20 cluster-scaling sweep and exit")
 	e21Flag := flag.Bool("e21", false, "run the E21 server-failover sweep and exit")
 	serversFlag := flag.String("servers", "", "comma-separated fleet sizes for a cluster grid (implies -e20 over those sizes)")
 	dispatchFlag := flag.String("dispatch", "", "restrict the cluster grid to one dispatch policy (roundrobin, leastloaded, popularity)")
-	cacheMB := flag.Int("cachemb", 0, "prefix-cache RAM budget in MB (0 = no prefix cache; DESIGN.md §12)")
-	batchWindow := flag.Int("batchwindow", 0, "multicast batch window in intervals (0 = no batching)")
-	cachePolicy := flag.String("cache", "", "cache replacement policy: lru or popularity (default popularity)")
-	zipfSkew := flag.Float64("zipf", 0, "Zipf popularity skew theta (0 = paper's geometric distribution)")
-	arrivals := flag.Float64("arrivals", 0, "open Poisson arrivals per hour (0 = closed loop)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	if *e18Flag {
-		points, err := experiment.E18(*seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			return 1
-		}
-		fmt.Print(experiment.E18Render(points))
+	if sc.ListTechniques {
+		experiment.PrintTechniques(os.Stdout)
 		return 0
 	}
-
-	if *e19Flag {
-		points, err := experiment.E19(*seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			return 1
-		}
-		fmt.Print(experiment.E19Render(points))
-		return 0
+	opts, err := sc.Options()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		return 2
 	}
-
-	if *e21Flag {
-		points, err := experiment.E21(*seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			return 1
-		}
-		if *csv {
-			fmt.Print(experiment.E21CSV(points))
-		} else {
-			fmt.Print(experiment.RenderE21(points))
-		}
-		return 0
-	}
-
-	if *e20Flag || *serversFlag != "" {
-		return runClusterGrid(*serversFlag, *dispatchFlag, *seed, *csv)
-	}
-
-	if *listTech {
-		for _, ti := range sched.Techniques() {
-			fmt.Printf("%-10s %s — %s\n", ti.Key, ti.Display, ti.Summary)
-		}
-		return 0
-	}
-
 	specs, err := parseTechniques(*techFlag, *stride)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 		return 2
 	}
-
-	var opts *experiment.Options
-	cacheOn := *cacheMB > 0 || *batchWindow > 0
-	if *faultsFlag != "" || *pressure || cacheOn || *zipfSkew > 0 || *arrivals > 0 {
-		opts = &experiment.Options{
-			EvictionPressure: *pressure,
-			ZipfSkew:         *zipfSkew,
-			ArrivalsPerHour:  *arrivals,
-		}
-		if cacheOn {
-			opts.Cache = &cache.Spec{
-				BudgetBytes: int64(*cacheMB) << 20,
-				BatchWindow: *batchWindow,
-				Policy:      *cachePolicy,
-			}
-		}
-		if *faultsFlag != "" {
-			plan, err := fault.Parse(*faultsFlag)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-				return 2
-			}
-			opts.Faults = plan
-		}
+	stations, err := parseCounts("-stations", *stationsFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		return 2
+	}
+	scale, factors, err := parseScale(*scaleFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		return 2
+	}
+	servers, policies, err := parseGrid(*serversFlag, *dispatchFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		return 2
 	}
 
-	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	// The experiment modes and the scale-mode trajectory fix their own
+	// configurations, so a run-shaping flag would be silently ignored.
+	mode := ""
+	switch {
+	case *e18Flag:
+		mode = "-e18"
+	case *e19Flag:
+		mode = "-e19"
+	case *e21Flag:
+		mode = "-e21"
+	case *e20Flag:
+		mode = "-e20"
+	case *serversFlag != "":
+		mode = "-servers"
+	case factors != nil:
+		mode = "-scale " + *scaleFlag
+	}
+	if set := sc.RunShapingSet(); mode != "" && len(set) > 0 {
+		fmt.Fprintf(os.Stderr, "sweep: %s ignores %s\n", mode, strings.Join(set, ", "))
+		return 2
+	}
+
+	stopProfiles, err := sc.StartProfiles("sweep")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 		return 1
 	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			if code == 0 {
-				code = 1
-			}
+	defer stopProfiles(&code)
+
+	var out string
+	switch mode {
+	case "-e18":
+		var points []experiment.E18Point
+		if points, err = experiment.E18(sc.Seed); err == nil {
+			out = experiment.E18Render(points)
 		}
-	}()
-
-	scale := experiment.Full
-	switch *scaleFlag {
-	case "full":
-	case "quick":
-		scale = experiment.Quick
-	case "10x", "100x", "1000x", "1000", "10000x":
-		return runScaleMode(*scaleFlag, *seed, *csv)
-	default:
-		fmt.Fprintf(os.Stderr, "sweep: unknown scale %q\n", *scaleFlag)
-		return 2
+	case "-e19":
+		var points []experiment.E19Point
+		if points, err = experiment.E19(sc.Seed); err == nil {
+			out = experiment.E19Render(points)
+		}
+	case "-e21":
+		var points []experiment.FailoverPoint
+		if points, err = experiment.E21(sc.Seed); err == nil && *csv {
+			out = experiment.E21CSV(points)
+		} else if err == nil {
+			out = experiment.RenderE21(points)
+		}
+	case "-e20", "-servers":
+		var points []experiment.ClusterPoint
+		if points, err = experiment.E20Grid(servers, policies, sc.Seed); err == nil && *csv {
+			out = experiment.E20CSV(points)
+		} else if err == nil {
+			out = experiment.RenderE20(points)
+		}
+	case "":
+		return runFigures(scale, *dist, stations, sc.Seed, specs, opts, *csv)
+	default: // the scale-mode trajectory
+		var points []experiment.ScalePoint
+		if points, err = experiment.ScaleSweep(factors, sc.Seed); err == nil {
+			out = renderScale(*scaleFlag, points, *csv)
+		}
 	}
-
-	stations, err := parseStations(*stationsFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		return 2
+		return 1
 	}
+	fmt.Print(out)
+	return 0
+}
 
+// runFigures runs the paper's evaluation: the Figure 8 graphs of the
+// selected distributions and, for the default technique pair over all
+// three, Table 4.
+func runFigures(scale experiment.Scale, dist float64, stations []int, seed uint64, specs []experiment.TechSpec, opts *experiment.Options, csv bool) int {
 	means := workload.PaperMeans
-	if *dist != 0 {
-		means = []float64{*dist}
+	if dist != 0 {
+		means = []float64{dist}
 	}
-
-	byMean := map[float64][]experiment.Point{}
+	byMean, err := experiment.Sweep(scale, means, stations, seed, specs, opts)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		return 1
+	}
 	starved := 0
 	for _, mean := range means {
-		pts, err := experiment.Figure8TechniquesOpts(scale, mean, stations, *seed, specs, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			return 1
-		}
-		byMean[mean] = pts
+		pts := byMean[mean]
 		starved += experiment.Starved(pts)
-		if *csv {
+		if csv {
 			if specs == nil {
 				fmt.Print(pointsCSV(mean, pts))
 			} else {
@@ -212,11 +194,11 @@ func run() (code int) {
 
 	// Table 4 compares the paper pair; it only applies to the
 	// default sweep.
-	if *dist == 0 && specs == nil {
+	if dist == 0 && specs == nil {
 		tbl := experiment.Table4(byMean)
 		fmt.Println("Table 4: percentage improvement in throughput (displays per hour)")
 		fmt.Println("with simple striping as compared to virtual data replication.")
-		if *csv {
+		if csv {
 			fmt.Print(tbl.CSV())
 		} else {
 			fmt.Println(tbl.String())
@@ -230,66 +212,53 @@ func run() (code int) {
 	return 0
 }
 
-// runClusterGrid runs the E20 cluster-scaling grid: fleet sizes from
-// -servers (default 1,2,4,8) crossed with the dispatch policies
-// (restricted by -dispatch when given), at quick per-server geometry
-// under an open Zipf θ=1.1 workload (EXPERIMENTS.md E20).
-func runClusterGrid(serversFlag, dispatchFlag string, seed uint64, csv bool) int {
+// parseScale reads -scale: the paper-figure fidelity, or for a
+// scale-mode trajectory the quick-geometry factors grown up to the
+// requested ceiling (non-nil only then).
+func parseScale(s string) (experiment.Scale, []int, error) {
+	switch s {
+	case "full":
+		return experiment.Full, nil, nil
+	case "quick":
+		return experiment.Quick, nil, nil
+	case "10x":
+		return 0, []int{1, 2, 5, 10}, nil
+	case "100x":
+		return 0, []int{1, 2, 5, 10, 20, 50, 100}, nil
+	case "1000x", "1000":
+		return 0, []int{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}, nil
+	case "10000x":
+		return 0, []int{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000}, nil
+	}
+	return 0, nil, fmt.Errorf("unknown scale %q", s)
+}
+
+// parseGrid reads the E20 cluster grid (EXPERIMENTS.md E20): fleet
+// sizes from -servers (default 1,2,4,8) crossed with the dispatch
+// policies, restricted to one by -dispatch when given.
+func parseGrid(serversFlag, dispatchFlag string) ([]int, []string, error) {
 	servers := experiment.E20Servers
 	if serversFlag != "" {
 		var err error
-		if servers, err = parseStations(serversFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: bad -servers: %v\n", err)
-			return 2
+		if servers, err = parseCounts("-servers", serversFlag); err != nil {
+			return nil, nil, err
 		}
 	}
 	policies := cluster.Policies()
-	if dispatchFlag != "" {
-		found := false
-		for _, p := range policies {
-			if p == dispatchFlag {
-				policies, found = []string{p}, true
-				break
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "sweep: unknown dispatch policy %q (have %v)\n", dispatchFlag, cluster.Policies())
-			return 2
+	if dispatchFlag == "" {
+		return servers, policies, nil
+	}
+	for _, p := range policies {
+		if p == dispatchFlag {
+			return servers, []string{p}, nil
 		}
 	}
-	points, err := experiment.E20Grid(servers, policies, seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		return 1
-	}
-	if csv {
-		fmt.Print(experiment.E20CSV(points))
-	} else {
-		fmt.Print(experiment.RenderE20(points))
-	}
-	return 0
+	return nil, nil, fmt.Errorf("unknown dispatch policy %q (have %v)", dispatchFlag, policies)
 }
 
-// runScaleMode runs the scale-mode trajectory instead of the paper
-// figures: quick-geometry configurations grown by successive factors
-// up to the requested ceiling, reporting wall-clock cost per point.
-func runScaleMode(mode string, seed uint64, csv bool) int {
-	var factors []int
-	switch mode {
-	case "10x":
-		factors = []int{1, 2, 5, 10}
-	case "100x":
-		factors = []int{1, 2, 5, 10, 20, 50, 100}
-	case "10000x":
-		factors = []int{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000}
-	default: // 1000x
-		factors = []int{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
-	}
-	points, err := experiment.ScaleSweep(factors, seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		return 1
-	}
+// renderScale formats the scale-mode trajectory, which reports the
+// wall-clock cost of each point.
+func renderScale(mode string, points []experiment.ScalePoint, csv bool) string {
 	if csv {
 		tbl := &metrics.Table{Header: []string{
 			"factor", "disks", "stations", "displays", "wall_seconds", "intervals_per_second", "ns_per_display", "heap_alloc_bytes",
@@ -306,28 +275,30 @@ func runScaleMode(mode string, seed uint64, csv bool) int {
 				fmt.Sprintf("%d", p.HeapAllocBytes),
 			)
 		}
-		fmt.Print(tbl.CSV())
-		return 0
+		return tbl.CSV()
 	}
-	fmt.Printf("Scale-mode trajectory (%s): quick geometry grown by factor\n", mode)
-	fmt.Printf("%7s %7s %9s %9s %9s %13s %13s\n", "factor", "disks", "stations", "displays", "wall(s)", "intervals/s", "ns/display")
+	var b strings.Builder
+	fmt.Fprintf(&b, "Scale-mode trajectory (%s): quick geometry grown by factor\n", mode)
+	fmt.Fprintf(&b, "%7s %7s %9s %9s %9s %13s %13s\n", "factor", "disks", "stations", "displays", "wall(s)", "intervals/s", "ns/display")
 	for _, p := range points {
-		fmt.Printf("%7d %7d %9d %9d %9.4f %13.0f %13.0f\n",
+		fmt.Fprintf(&b, "%7d %7d %9d %9d %9.4f %13.0f %13.0f\n",
 			p.Factor, p.D, p.Stations, p.Displays, p.WallSeconds, p.IntervalsSec, p.NsPerDisplay)
 	}
-	return 0
+	return b.String()
 }
 
-func parseStations(s string) ([]int, error) {
+// parseCounts reads a comma-separated list of positive counts; empty
+// selects the caller's default.
+func parseCounts(name, s string) ([]int, error) {
 	if s == "" {
-		return nil, nil // experiment.Figure8 defaults to the paper sweep
+		return nil, nil
 	}
 	parts := strings.Split(s, ",")
 	out := make([]int, 0, len(parts))
 	for _, p := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad station count %q", p)
+			return nil, fmt.Errorf("%s: bad count %q", name, p)
 		}
 		out = append(out, v)
 	}
@@ -403,7 +374,7 @@ func parseTechniques(s string, stride int) ([]experiment.TechSpec, error) {
 	for _, part := range strings.Split(s, ",") {
 		key := strings.TrimSpace(part)
 		if _, ok := sched.TechniqueByKey(key); !ok {
-			return nil, fmt.Errorf("unknown technique %q (have %s)", key, strings.Join(sched.TechniqueKeys(), ", "))
+			return nil, fmt.Errorf("-technique: unknown technique %q (have %s)", key, strings.Join(sched.TechniqueKeys(), ", "))
 		}
 		spec := experiment.TechSpec{Key: key}
 		if key == experiment.TechStaggered {

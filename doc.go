@@ -39,7 +39,7 @@
 //	fmt.Println(pl.Disk(7, 2)) // disk of fragment 2 of subobject 7
 //
 //	cfg := mmis.Table3Config(64, 20, 1) // 64 stations, skewed access
-//	eng, _ := mmis.NewStripedSimulation(cfg)
+//	eng, _ := mmis.NewSimulation(cfg, "striped")
 //	res := eng.Run()
 //	fmt.Printf("%.1f displays/hour\n", res.Throughput())
 //

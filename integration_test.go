@@ -61,7 +61,7 @@ func TestIntegrationLayoutToSimulation(t *testing.T) {
 	}
 	clusters := layout.Clusters(cfg.M)
 
-	eng, err := NewStripedSimulation(cfg)
+	eng, err := NewSimulation(cfg, "striped")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func MixedMediaAblation(stations int, mean float64, seed uint64) ([]MixedMediaRe
 	staggered.Degrees = degrees
 	staggered.Fragmented = true
 	staggered.Coalescing = true
-	es, err := sched.NewStriped(staggered)
+	es, _, err := sched.NewEngineFor(TechStaggered, staggered, staggered.K)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +118,7 @@ func MixedMediaAblation(stations int, mean float64, seed uint64) ([]MixedMediaRe
 	// fragments per subobject regardless of need.
 	naive := base
 	naive.K = base.M // physical clusters of M_max
-	en, err := sched.NewStriped(naive)
+	en, _, err := sched.NewEngineFor(TechStriped, naive, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +152,7 @@ func TertiaryLayoutAblation(seed uint64) ([]TertiaryLayoutResult, error) {
 		cfg.TapeLayout = layout
 		cfg.MeasureIntervals = 6000
 		secs := cfg.Tertiary.MaterializeSeconds(cfg.ObjectBits(), layout, cfg.IntervalSeconds())
-		e, err := sched.NewStriped(cfg)
+		e, _, err := sched.NewEngineFor(TechStriped, cfg, 0)
 		if err != nil {
 			return nil, err
 		}

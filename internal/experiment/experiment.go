@@ -8,40 +8,13 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
-	"github.com/mmsim/staggered/internal/cache"
-	"github.com/mmsim/staggered/internal/fault"
 	"github.com/mmsim/staggered/internal/metrics"
 	"github.com/mmsim/staggered/internal/sched"
 	"github.com/mmsim/staggered/internal/tertiary"
 	"github.com/mmsim/staggered/internal/workload"
 )
-
-// Options extends a sweep beyond the paper's clean-room runs: a fault
-// plan injected into every configuration, the eviction-pressure
-// fallback for exact-fit farms, and the cache-tier workload knobs.
-// The zero value is the paper's setup.
-type Options struct {
-	Faults           *fault.Plan
-	EvictionPressure bool
-	// Cache turns the memory tier on for every run; ZipfSkew and
-	// ArrivalsPerHour reshape the workload (see sched.Config).
-	Cache           *cache.Spec
-	ZipfSkew        float64
-	ArrivalsPerHour float64
-}
-
-// apply copies the options onto one run's configuration.
-func (o *Options) apply(cfg *sched.Config) {
-	if o == nil {
-		return
-	}
-	cfg.Faults = o.Faults
-	cfg.EvictionPressure = o.EvictionPressure
-	cfg.Cache = o.Cache
-	cfg.ZipfSkew = o.ZipfSkew
-	cfg.ArrivalsPerHour = o.ArrivalsPerHour
-}
 
 // Scale selects the experiment fidelity.
 type Scale int
@@ -153,23 +126,42 @@ func (p Point) VDR() metrics.Run {
 // throughput improvement of simple striping over the baseline.
 func (p Point) Improvement() float64 { return metrics.Improvement(p.Striped(), p.VDR()) }
 
-// job is one engine run of one sweep point: the unit of work the
-// pool schedules.  Splitting the techniques of a point into separate
-// jobs shortens the critical path of a sweep — the runs of the same
-// station count no longer serialize.
-type job struct {
-	mean float64
-	idx  int // index into the stations slice
-	tech int // index into the technique specs
+// forEach calls fn(i) once for every i in [0, n) on up to
+// min(GOMAXPROCS, n) goroutines — the one level of parallelism the
+// harness uses: whole engine runs side by side, each run sequential.
+// It returns the error of the lowest failing index, so the reported
+// error does not depend on scheduling; each fn(i) must write only its
+// own slot of the caller's results for the same to hold of them.
+func forEach(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// runSweep executes every (mean, station, technique) combination on a
-// worker pool sized to GOMAXPROCS and assembles the per-mean point
-// slices.  Each job writes its own element of its own point's Runs
-// slice, so workers never contend and the result is independent of
-// scheduling order: the output is deterministic per seed regardless
-// of parallelism.
-func runSweep(scale Scale, means []float64, stations []int, seed uint64, specs []TechSpec, opts *Options) (map[float64][]Point, error) {
+// Sweep runs every (mean, station, technique) combination as one
+// engine run on the forEach pool, with opts applied to every run (nil
+// is the paper's setup), and returns the points per mean.  Empty
+// stations mean the paper sweep, empty specs the paper pair.  Results
+// are deterministic per seed regardless of parallelism.
+func Sweep(scale Scale, means []float64, stations []int, seed uint64, specs []TechSpec, opts *Options) (map[float64][]Point, error) {
 	if len(stations) == 0 {
 		stations = workload.PaperStations
 	}
@@ -181,7 +173,6 @@ func runSweep(scale Scale, means []float64, stations []int, seed uint64, specs [
 		labels[i] = s.Label()
 	}
 	byMean := make(map[float64][]Point, len(means))
-	jobs := make(chan job, len(specs)*len(means)*len(stations))
 	for _, mean := range means {
 		pts := make([]Point, len(stations))
 		for i, st := range stations {
@@ -190,76 +181,31 @@ func runSweep(scale Scale, means []float64, stations []int, seed uint64, specs [
 			pts[i].Runs = make([]sched.Result, len(specs))
 		}
 		byMean[mean] = pts
-		for i := range stations {
-			for t := range specs {
-				jobs <- job{mean: mean, idx: i, tech: t}
-			}
+	}
+	perMean := len(stations) * len(specs)
+	err := forEach(len(means)*perMean, func(i int) error {
+		mean, spec := means[i/perMean], specs[i%len(specs)]
+		p := &byMean[mean][i%perMean/len(specs)]
+		cfg := BaseConfig(scale, p.Stations, mean, seed)
+		opts.Apply(&cfg)
+		e, _, err := sched.NewEngineFor(spec.Key, cfg, spec.Stride)
+		if err != nil {
+			return err
 		}
-	}
-	close(jobs)
-
-	workers := runtime.GOMAXPROCS(0)
-	if n := cap(jobs); workers > n {
-		workers = n
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				p := &byMean[j.mean][j.idx]
-				cfg := BaseConfig(scale, p.Stations, j.mean, seed)
-				opts.apply(&cfg)
-				spec := specs[j.tech]
-				e, _, err := sched.NewEngineFor(spec.Key, cfg, spec.Stride)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				// Each technique of the same point is a distinct
-				// slice element, so the writes never overlap.
-				p.Runs[j.tech] = e.Run()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		p.Runs[i%len(specs)] = e.Run()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return byMean, nil
 }
 
 // Figure8 runs one graph of Figure 8: simple striping vs virtual data
 // replication across the station sweep for one access distribution.
-// Engine runs execute in parallel on a GOMAXPROCS-sized pool; results
-// are deterministic per seed.
 func Figure8(scale Scale, mean float64, stations []int, seed uint64) ([]Point, error) {
-	return Figure8Techniques(scale, mean, stations, seed, nil)
-}
-
-// Figure8Techniques runs one Figure 8 graph for an arbitrary set of
-// registered techniques (nil means the paper's default pair).
-func Figure8Techniques(scale Scale, mean float64, stations []int, seed uint64, specs []TechSpec) ([]Point, error) {
-	return Figure8TechniquesOpts(scale, mean, stations, seed, specs, nil)
-}
-
-// Figure8TechniquesOpts is Figure8Techniques with sweep options — the
-// entry point cmd/sweep's -faults and -pressure flags use.
-func Figure8TechniquesOpts(scale Scale, mean float64, stations []int, seed uint64, specs []TechSpec, opts *Options) ([]Point, error) {
-	byMean, err := runSweep(scale, []float64{mean}, stations, seed, specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	return byMean[mean], nil
+	byMean, err := Sweep(scale, []float64{mean}, stations, seed, nil, nil)
+	return byMean[mean], err
 }
 
 // seriesName maps a sweep label to its figure-legend name: the
@@ -331,17 +277,10 @@ func Table4(byMean map[float64][]Point) *metrics.Table {
 
 // RunAll runs the three distributions of Figure 8 and returns the
 // per-mean points (the input to both the figure renderings and
-// Table 4).  All three sweeps share one worker pool, so the runs of
-// different distributions interleave instead of executing graph by
-// graph.
+// Table 4).  All three graphs share one pool, so their runs
+// interleave instead of executing graph by graph.
 func RunAll(scale Scale, stations []int, seed uint64) (map[float64][]Point, error) {
-	return runSweep(scale, workload.PaperMeans, stations, seed, nil, nil)
-}
-
-// RunAllTechniques is RunAll for an arbitrary set of registered
-// techniques (nil means the paper's default pair).
-func RunAllTechniques(scale Scale, stations []int, seed uint64, specs []TechSpec) (map[float64][]Point, error) {
-	return runSweep(scale, workload.PaperMeans, stations, seed, specs, nil)
+	return Sweep(scale, workload.PaperMeans, stations, seed, nil, nil)
 }
 
 // Aggregate merges every run of a sweep's points into one Run

@@ -1,11 +1,14 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"github.com/mmsim/staggered/internal/cluster"
 	"github.com/mmsim/staggered/internal/tertiary"
 	"github.com/mmsim/staggered/internal/workload"
 )
@@ -69,26 +72,81 @@ func TestFigure8Deterministic(t *testing.T) {
 	}
 }
 
-// TestRunAllParallelismInvariant pins the worker pool's determinism
-// contract: the sweep's results must not depend on how many workers
-// execute it.  A serial run (GOMAXPROCS=1) and a parallel run must be
-// deeply equal, every field of every point.
-func TestRunAllParallelismInvariant(t *testing.T) {
-	stations := []int{1, 8}
-	prev := runtime.GOMAXPROCS(1)
-	serial, err := RunAll(Quick, stations, 9)
-	runtime.GOMAXPROCS(4)
-	if err != nil {
-		runtime.GOMAXPROCS(prev)
-		t.Fatal(err)
+// TestParallelismInvariant pins the pool's determinism contract for
+// every pooled entry point: results must not depend on how many
+// workers execute them.  A serial run (GOMAXPROCS=1) and a parallel
+// run must be deeply equal, every field of every point (wall-clock
+// fields aside).
+func TestParallelismInvariant(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func() (any, error)
+	}{
+		{"RunAll", func() (any, error) { return RunAll(Quick, []int{1, 8}, 9) }},
+		{"ScaleSweep", func() (any, error) {
+			pts, err := ScaleSweep([]int{1, 2, 3, 4}, 1)
+			for i := range pts {
+				pts[i].WallSeconds, pts[i].IntervalsSec, pts[i].NsPerDisplay, pts[i].HeapAllocBytes = 0, 0, 0, 0
+			}
+			return pts, err
+		}},
+		{"E20Grid", func() (any, error) { return E20Grid([]int{1, 2}, cluster.Policies(), 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			serial, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.GOMAXPROCS(4)
+			parallel, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(serial, parallel) {
+				t.Errorf("results depend on worker count:\n  serial:   %+v\n  parallel: %+v", serial, parallel)
+			}
+		})
 	}
-	parallel, perr := RunAll(Quick, stations, 9)
-	runtime.GOMAXPROCS(prev)
-	if perr != nil {
-		t.Fatal(perr)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("sweep depends on worker count:\n  serial:   %+v\n  parallel: %+v", serial, parallel)
+}
+
+// TestForEach pins the pool helper: every index runs exactly once at
+// any worker count, n = 0 is a no-op, and the error reported is the
+// lowest failing index's whatever the scheduling.
+func TestForEach(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		const n = 100
+		var calls [n]atomic.Int32
+		if err := forEach(n, func(i int) error {
+			calls[i].Add(1)
+			return nil
+		}); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		for i := range calls {
+			if c := calls[i].Load(); c != 1 {
+				t.Fatalf("GOMAXPROCS=%d: index %d ran %d times", procs, i, c)
+			}
+		}
+		if err := forEach(0, func(int) error {
+			t.Error("fn called for n = 0")
+			return nil
+		}); err != nil {
+			t.Fatalf("n = 0: %v", err)
+		}
+		for rep := 0; rep < 20; rep++ {
+			err := forEach(n, func(i int) error {
+				if i%7 == 3 { // 3, 10, 17, ...
+					return fmt.Errorf("job %d", i)
+				}
+				return nil
+			})
+			if err == nil || err.Error() != "job 3" {
+				t.Fatalf("GOMAXPROCS=%d: got error %v, want job 3", procs, err)
+			}
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"github.com/mmsim/staggered/internal/sched"
@@ -69,7 +68,7 @@ type ScalePoint struct {
 // times it.
 func RunScalePoint(factor int, seed uint64) (ScalePoint, error) {
 	cfg := ScaleConfig(factor, seed)
-	e, err := sched.NewStriped(cfg)
+	e, _, err := sched.NewEngineFor(TechStriped, cfg, 0)
 	if err != nil {
 		return ScalePoint{}, fmt.Errorf("scale %dx: %w", factor, err)
 	}
@@ -108,50 +107,17 @@ func RunScalePoint(factor int, seed uint64) (ScalePoint, error) {
 }
 
 // ScaleSweep runs the trajectory of factors and returns one point per
-// factor, in factor order.  Points execute concurrently on a
-// GOMAXPROCS-sized pool (the same harness runSweep uses): simulation
+// factor, in factor order.  Points run on the forEach pool: simulation
 // results are deterministic regardless, and the per-point wall clocks
 // remain comparable because every point still runs on one goroutine.
 func ScaleSweep(factors []int, seed uint64) ([]ScalePoint, error) {
 	points := make([]ScalePoint, len(factors))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(factors) {
-		workers = len(factors)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		next     int
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(factors) {
-					return
-				}
-				p, err := RunScalePoint(factors[i], seed)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				points[i] = p
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := forEach(len(factors), func(i int) (err error) {
+		points[i], err = RunScalePoint(factors[i], seed)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return points, nil
 }

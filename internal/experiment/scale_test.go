@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestScaleSweep100x pins the acceptance bar for the timing-wheel
 // calendar: a 100x quick-geometry point — 5000 disks, 4000 objects,
@@ -57,33 +54,5 @@ func TestScaleSweep1000xGeometry(t *testing.T) {
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("1000x config does not validate: %v", err)
-	}
-}
-
-// TestScaleSweepParallelMatchesSequential checks the pooled
-// multi-factor sweep returns the same simulation results as running
-// the points one by one (wall-clock fields aside).
-func TestScaleSweepParallelMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep comparison is not short")
-	}
-	factors := []int{1, 2, 3, 4}
-	pooled, err := ScaleSweep(factors, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range factors {
-		p, err := RunScalePoint(f, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := pooled[i], p
-		got.WallSeconds, want.WallSeconds = 0, 0
-		got.IntervalsSec, want.IntervalsSec = 0, 0
-		got.NsPerDisplay, want.NsPerDisplay = 0, 0
-		got.HeapAllocBytes, want.HeapAllocBytes = 0, 0
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("pooled point %d diverged:\n  pooled:     %+v\n  sequential: %+v", i, got, want)
-		}
 	}
 }

@@ -53,7 +53,7 @@ func TestCacheDisabledGolden(t *testing.T) {
 func TestCacheDisabledCountersZero(t *testing.T) {
 	cfg := smallConfig(8, 20)
 	cfg.Cache = &cache.Spec{}
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCacheOpenArrivalsDeterministic(t *testing.T) {
 	cfg.Cache = cacheSpec()
 	var results [2]Result
 	for i := range results {
-		e, err := NewStriped(cfg)
+		e, err := NewEngine(cfg, &stripedTech{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestCacheBeatsDisabled(t *testing.T) {
 	base := smallConfig(64, 20)
 	base.ZipfSkew = 1.1
 
-	disk, err := NewStriped(base)
+	disk, err := NewEngine(base, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestCacheBeatsDisabled(t *testing.T) {
 
 	cached := base
 	cached.Cache = cacheSpec()
-	eng, err := NewStriped(cached)
+	eng, err := NewEngine(cached, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestCacheBeatsDisabled(t *testing.T) {
 func TestOpenArrivalsDiskOnly(t *testing.T) {
 	cfg := smallConfig(16, 20)
 	cfg.ArrivalsPerHour = 20000 // deliberately overdriven: must reject
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestZipfFlipReconverges(t *testing.T) {
 	cfg := churnConfig(3)
 	cfg.ZipfFlipInterval = cfg.WarmupIntervals + 2*window // flip as window 2 opens
 
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRunCheckedAlreadyRun(t *testing.T) {
 	cfg := smallConfig(4, 10)
 	cfg.WarmupIntervals, cfg.MeasureIntervals = 10, 50
 
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRunCheckedAlreadyRun(t *testing.T) {
 
 	// Prime idempotence: a double-primed engine steps identically to a
 	// Run (seeding stations twice would panic the workload layer).
-	a, err := NewStriped(cfg)
+	a, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRunCheckedAlreadyRun(t *testing.T) {
 		t.Fatalf("RunChecked after stepping returned %v, want ErrAlreadyRun", err)
 	}
 
-	b, err := NewStriped(cfg)
+	b, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestZipfFlipOffIsByteIdentical(t *testing.T) {
 	cfg.MeasureIntervals = 800
 
 	run := func(cfg Config) Result {
-		e, err := NewStriped(cfg)
+		e, err := NewEngine(cfg, &stripedTech{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,11 +44,11 @@ func determinismConfigs() map[string]Config {
 func TestStripedDeterministic(t *testing.T) {
 	for name, cfg := range determinismConfigs() {
 		t.Run(name, func(t *testing.T) {
-			first, err := NewStriped(cfg)
+			first, err := NewEngine(cfg, &stripedTech{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			second, err := NewStriped(cfg)
+			second, err := NewEngine(cfg, &stripedTech{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,11 +63,11 @@ func TestStripedDeterministic(t *testing.T) {
 func TestVDRDeterministic(t *testing.T) {
 	for name, cfg := range determinismConfigs() {
 		t.Run(name, func(t *testing.T) {
-			first, err := NewVDR(cfg)
+			first, err := NewEngine(cfg, &vdrTech{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			second, err := NewVDR(cfg)
+			second, err := NewEngine(cfg, &vdrTech{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -200,9 +200,9 @@ type Engine struct {
 	starvedTotal   int
 }
 
-// NewEngine builds an engine running the given technique.  Most
-// callers should go through the registry (NewEngineFor) or the kept
-// NewStriped/NewVDR constructors instead.
+// NewEngine builds an engine running the given technique.  Callers
+// outside this package go through the registry (TechniqueInfo.New or
+// NewEngineFor).
 func NewEngine(cfg Config, tech Technique) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -9,7 +9,7 @@ func TestThinkTimeReducesLoad(t *testing.T) {
 	// Six stations on a ten-cluster farm: load-limited, not
 	// capacity-limited, so the think time shows up directly.
 	base := smallConfig(6, 5)
-	e0, err := NewStriped(base)
+	e0, err := NewEngine(base, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func TestThinkTimeReducesLoad(t *testing.T) {
 	withThink := base
 	// Think mean = one display time.
 	withThink.ThinkMeanSeconds = float64(base.Subobjects) * base.IntervalSeconds()
-	e1, err := NewStriped(withThink)
+	e1, err := NewEngine(withThink, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestThinkTimeDeterministic(t *testing.T) {
 	cfg := smallConfig(8, 10)
 	cfg.ThinkMeanSeconds = 10
 	run := func() Result {
-		e, err := NewStriped(cfg)
+		e, err := NewEngine(cfg, &stripedTech{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestNegativeThinkRejected(t *testing.T) {
 func TestStrictFCFSCostsThroughput(t *testing.T) {
 	base := smallConfig(16, 40) // near-uniform: misses occur
 	base.MeasureIntervals = 6000
-	scan, err := NewStriped(base)
+	scan, err := NewEngine(base, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestStrictFCFSCostsThroughput(t *testing.T) {
 
 	strictCfg := base
 	strictCfg.FCFSStrict = true
-	strict, err := NewStriped(strictCfg)
+	strict, err := NewEngine(strictCfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestStrictFCFSFairOnHits(t *testing.T) {
 	base := smallConfig(16, 3) // extremely hot: everything resident
 	strictCfg := base
 	strictCfg.FCFSStrict = true
-	strict, err := NewStriped(strictCfg)
+	strict, err := NewEngine(strictCfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestStrictFCFSFairOnHits(t *testing.T) {
 func TestVDRDiskToDiskCopy(t *testing.T) {
 	cfg := smallConfig(32, 2.000001) // extreme skew forces replication
 	cfg.DiskToDiskCopy = true
-	e, err := NewVDR(cfg)
+	e, err := NewEngine(cfg, &vdrTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestVDRDiskToDiskCopy(t *testing.T) {
 // least (approximately) the faithful variant's under hot contention.
 func TestVDRDiskToDiskVsTertiary(t *testing.T) {
 	base := smallConfig(32, 2.000001)
-	tert, err := NewVDR(base)
+	tert, err := NewEngine(base, &vdrTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestVDRDiskToDiskVsTertiary(t *testing.T) {
 
 	d2d := base
 	d2d.DiskToDiskCopy = true
-	eng, err := NewVDR(d2d)
+	eng, err := NewEngine(d2d, &vdrTech{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func TestDiskFailureDegradesStriped(t *testing.T) {
 	cfg := smallConfig(16, 10)
 	cfg.PlaceRetryLimit = DefaultPlaceRetryLimit
 	cfg.Faults = fault.NewPlan().FailDisk(7, cfg.WarmupIntervals+100)
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestDiskRepairRestoresService(t *testing.T) {
 	repaired.Faults = fault.NewPlan().FailDiskUntil(7, at, at+200)
 
 	run := func(cfg Config) Result {
-		e, err := NewStriped(cfg)
+		e, err := NewEngine(cfg, &stripedTech{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestSlowDiskInflatesHiccupsOnly(t *testing.T) {
 	cfg := smallConfig(16, 10)
 	at := cfg.WarmupIntervals + 100
 	cfg.Faults = fault.NewPlan().SlowDisk(3, at, at+500)
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSlowDiskInflatesHiccupsOnly(t *testing.T) {
 func TestVDRClusterFailure(t *testing.T) {
 	cfg := smallConfig(16, 10)
 	cfg.Faults = fault.NewPlan().FailDisk(2, cfg.WarmupIntervals+50)
-	e, err := NewVDR(cfg)
+	e, err := NewEngine(cfg, &vdrTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestTertiaryOutageStallsStaging(t *testing.T) {
 	out.Faults = fault.NewPlan().TertiaryOutage(base.WarmupIntervals, base.WarmupIntervals+base.MeasureIntervals/2)
 
 	run := func(cfg Config) Result {
-		e, err := NewStriped(cfg)
+		e, err := NewEngine(cfg, &stripedTech{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestStarvationSurfacesTypedError(t *testing.T) {
 	cfg.Fragmented = true
 	cfg.Coalescing = true
 	cfg.PlaceRetryLimit = DefaultPlaceRetryLimit
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestLegacyRetryForeverPreserved(t *testing.T) {
 	cfg.K = 1
 	cfg.Fragmented = true
 	cfg.Coalescing = true
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestEvictionPressureRescuesExactFit(t *testing.T) {
 		cfg.Coalescing = true
 		cfg.PlaceRetryLimit = DefaultPlaceRetryLimit
 		cfg.EvictionPressure = pressure
-		e, err := NewStriped(cfg)
+		e, err := NewEngine(cfg, &stripedTech{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestFaultTraceEvents(t *testing.T) {
 	cfg := smallConfig(16, 10)
 	at := cfg.WarmupIntervals + 100
 	cfg.Faults = fault.NewPlan().FailDiskUntil(7, at, at+300)
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestEmptyFaultPlanGolden(t *testing.T) {
 func TestEmptyFaultPlanCountersZero(t *testing.T) {
 	cfg := smallConfig(8, 20)
 	cfg.Faults = fault.NewPlan()
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,25 +88,15 @@ func goldenDumpWith(t *testing.T, mutate func(*Config)) string {
 		if mutate != nil {
 			mutate(&gc.cfg)
 		}
-		var (
-			res Result
-			err error
-		)
+		var tech Technique = &vdrTech{}
 		if gc.striped {
-			var e *Striped
-			if e, err = NewStriped(gc.cfg); err == nil {
-				res = e.Run()
-			}
-		} else {
-			var e *VDR
-			if e, err = NewVDR(gc.cfg); err == nil {
-				res = e.Run()
-			}
+			tech = &stripedTech{}
 		}
+		e, err := NewEngine(gc.cfg, tech)
 		if err != nil {
 			t.Fatalf("%s: %v", gc.name, err)
 		}
-		fmt.Fprintf(&b, "%s: %+v\n", gc.name, legacyView(res))
+		fmt.Fprintf(&b, "%s: %+v\n", gc.name, legacyView(e.Run()))
 	}
 	return b.String()
 }

@@ -59,7 +59,7 @@ func TestCoalescedRescheduleOrder(t *testing.T) {
 	cfg.Fragmented = true
 	cfg.Coalescing = true
 	cfg.Seed = 3
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}

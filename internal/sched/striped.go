@@ -144,21 +144,6 @@ const (
 	matOwner int32 = -2
 )
 
-// Striped is the striping-family engine (simple striping is the
-// special case K = M, staggered striping any other stride).  It is a
-// thin wrapper over the generic Engine bound to the striped
-// technique, kept as a named type for compatibility.
-type Striped struct{ *Engine }
-
-// NewStriped builds a striped engine from the configuration.
-func NewStriped(cfg Config) (*Striped, error) {
-	e, err := NewEngine(cfg, &stripedTech{})
-	if err != nil {
-		return nil, err
-	}
-	return &Striped{e}, nil
-}
-
 // bind allocates the striped technique's state and preloads the farm.
 func (t *stripedTech) bind(e *Engine) error {
 	cfg := e.cfg

@@ -7,7 +7,7 @@ import (
 
 func TestTraceEventsBalance(t *testing.T) {
 	cfg := smallConfig(8, 10)
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestTraceEventsBalance(t *testing.T) {
 func TestTraceDisabledByDefault(t *testing.T) {
 	cfg := smallConfig(2, 10)
 	cfg.WarmupIntervals, cfg.MeasureIntervals = 10, 50
-	e, err := NewStriped(cfg)
+	e, err := NewEngine(cfg, &stripedTech{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,22 +95,6 @@ type vdrTech struct {
 	quietAt int
 }
 
-// VDR is the virtual-data-replication baseline engine, a thin wrapper
-// over the generic Engine bound to the VDR technique, kept as a named
-// type for compatibility.
-type VDR struct{ *Engine }
-
-// NewVDR builds the baseline engine from the configuration (the
-// stride field is ignored; every object is pinned to one cluster,
-// which is the k = D special case).
-func NewVDR(cfg Config) (*VDR, error) {
-	e, err := NewEngine(cfg, &vdrTech{})
-	if err != nil {
-		return nil, err
-	}
-	return &VDR{e}, nil
-}
-
 // bind allocates the VDR technique's state and warm-starts the farm.
 func (t *vdrTech) bind(e *Engine) error {
 	cfg := e.cfg

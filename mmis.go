@@ -151,10 +151,6 @@ type (
 	// SimulationTechnique describes one registered technique (CLI
 	// key, display name, configuration rules).
 	SimulationTechnique = sched.TechniqueInfo
-	// StripedSimulation is the staggered/simple striping engine.
-	StripedSimulation = sched.Striped
-	// VDRSimulation is the virtual data replication baseline engine.
-	VDRSimulation = sched.VDR
 	// Result carries a run's statistics (throughput, latency, ...).
 	Result = metrics.Run
 )
@@ -165,22 +161,10 @@ func Table3Config(stations int, distMean float64, seed uint64) SimulationConfig 
 	return sched.Table3Config(stations, distMean, seed)
 }
 
-// NewStripedSimulation builds a staggered-striping simulation.
-func NewStripedSimulation(cfg SimulationConfig) (*StripedSimulation, error) {
-	return sched.NewStriped(cfg)
-}
-
-// NewVDRSimulation builds the virtual-data-replication baseline.
-func NewVDRSimulation(cfg SimulationConfig) (*VDRSimulation, error) {
-	return sched.NewVDR(cfg)
-}
-
 // NewSimulation builds a simulation of cfg running the technique with
 // the given registry key ("striped", "staggered", or "vdr"; see
 // SimulationTechniques).  cfg is used verbatim — in particular,
-// cfg.K is the staggered stride.  Use the kept NewStripedSimulation /
-// NewVDRSimulation constructors when a concrete engine type is
-// wanted.
+// cfg.K is the staggered stride.
 func NewSimulation(cfg SimulationConfig, technique string) (*Simulation, error) {
 	ti, ok := sched.TechniqueByKey(technique)
 	if !ok {

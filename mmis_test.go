@@ -113,12 +113,12 @@ func TestPublicSimulationAPI(t *testing.T) {
 	cfg.CapacityFragments, cfg.Objects, cfg.Subobjects = 60, 40, 30
 	cfg.WarmupIntervals, cfg.MeasureIntervals = 600, 3000
 
-	se, err := NewStripedSimulation(cfg)
+	se, err := NewSimulation(cfg, "striped")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rs := se.Run()
-	ve, err := NewVDRSimulation(cfg)
+	ve, err := NewSimulation(cfg, "vdr")
 	if err != nil {
 		t.Fatal(err)
 	}

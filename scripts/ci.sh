@@ -19,6 +19,12 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+echo "== net non-test Go lines outside perfbench/ (informational, tracked in ROADMAP.md; no gate)"
+find . -path ./perfbench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
+
+echo "== quickstart example (the facade builds both techniques through NewSimulation)"
+go run ./examples/quickstart
+
 echo "== go test -short -race (quick suites + chaos harness under the race detector)"
 go test -short -race ./...
 
