@@ -8,10 +8,6 @@
 //
 //	sweep                         # full Table 3 scale, all figures + Table 4
 //	sweep -scale quick            # reduced scale (seconds instead of minutes)
-//	sweep -scale 10x              # scale-mode trajectory up to 10x quick geometry
-//	sweep -scale 100x             # scale-mode trajectory up to 100x quick geometry
-//	sweep -scale 1000x            # 1000x trajectory (50k disks, 20k stations)
-//	sweep -scale 10000x           # 10000x trajectory (500k disks, 200k stations)
 //	sweep -dist 20                # one distribution only
 //	sweep -stations 16,64,128,256 # restrict the station sweep
 //	sweep -csv                    # machine-readable output
@@ -49,7 +45,7 @@ func main() {
 // writers) executes before the process exits.
 func run() (code int) {
 	sc := experiment.BindScenarioFlags(flag.CommandLine)
-	scaleFlag := flag.String("scale", "full", "experiment scale: full (Table 3), quick, or a scale-mode trajectory (10x, 100x, 1000x)")
+	scaleFlag := flag.String("scale", "full", "experiment scale: full (Table 3) or quick")
 	dist := flag.Float64("dist", 0, "run a single distribution mean (10, 20, or 43.5); 0 = all")
 	stationsFlag := flag.String("stations", "", "comma-separated station counts; empty = paper sweep 1..256")
 	csv := flag.Bool("csv", false, "emit CSV instead of text tables")
@@ -82,7 +78,7 @@ func run() (code int) {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 		return 2
 	}
-	scale, factors, err := parseScale(*scaleFlag)
+	scale, err := parseScale(*scaleFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 		return 2
@@ -93,8 +89,8 @@ func run() (code int) {
 		return 2
 	}
 
-	// The experiment modes and the scale-mode trajectory fix their own
-	// configurations, so a run-shaping flag would be silently ignored.
+	// The experiment modes fix their own configurations, so a
+	// run-shaping flag would be silently ignored.
 	mode := ""
 	switch {
 	case *e18Flag:
@@ -107,8 +103,6 @@ func run() (code int) {
 		mode = "-e20"
 	case *serversFlag != "":
 		mode = "-servers"
-	case factors != nil:
-		mode = "-scale " + *scaleFlag
 	}
 	if set := sc.RunShapingSet(); mode != "" && len(set) > 0 {
 		fmt.Fprintf(os.Stderr, "sweep: %s ignores %s\n", mode, strings.Join(set, ", "))
@@ -148,13 +142,8 @@ func run() (code int) {
 		} else if err == nil {
 			out = experiment.RenderE20(points)
 		}
-	case "":
+	default:
 		return runFigures(scale, *dist, stations, sc.Seed, specs, opts, *csv)
-	default: // the scale-mode trajectory
-		var points []experiment.ScalePoint
-		if points, err = experiment.ScaleSweep(factors, sc.Seed); err == nil {
-			out = renderScale(*scaleFlag, points, *csv)
-		}
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
@@ -212,25 +201,15 @@ func runFigures(scale experiment.Scale, dist float64, stations []int, seed uint6
 	return 0
 }
 
-// parseScale reads -scale: the paper-figure fidelity, or for a
-// scale-mode trajectory the quick-geometry factors grown up to the
-// requested ceiling (non-nil only then).
-func parseScale(s string) (experiment.Scale, []int, error) {
+// parseScale reads -scale: the paper-figure fidelity.
+func parseScale(s string) (experiment.Scale, error) {
 	switch s {
 	case "full":
-		return experiment.Full, nil, nil
+		return experiment.Full, nil
 	case "quick":
-		return experiment.Quick, nil, nil
-	case "10x":
-		return 0, []int{1, 2, 5, 10}, nil
-	case "100x":
-		return 0, []int{1, 2, 5, 10, 20, 50, 100}, nil
-	case "1000x", "1000":
-		return 0, []int{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}, nil
-	case "10000x":
-		return 0, []int{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000}, nil
+		return experiment.Quick, nil
 	}
-	return 0, nil, fmt.Errorf("unknown scale %q", s)
+	return 0, fmt.Errorf("unknown scale %q", s)
 }
 
 // parseGrid reads the E20 cluster grid (EXPERIMENTS.md E20): fleet
@@ -254,37 +233,6 @@ func parseGrid(serversFlag, dispatchFlag string) ([]int, []string, error) {
 		}
 	}
 	return nil, nil, fmt.Errorf("unknown dispatch policy %q (have %v)", dispatchFlag, policies)
-}
-
-// renderScale formats the scale-mode trajectory, which reports the
-// wall-clock cost of each point.
-func renderScale(mode string, points []experiment.ScalePoint, csv bool) string {
-	if csv {
-		tbl := &metrics.Table{Header: []string{
-			"factor", "disks", "stations", "displays", "wall_seconds", "intervals_per_second", "ns_per_display", "heap_alloc_bytes",
-		}}
-		for _, p := range points {
-			tbl.AddRow(
-				fmt.Sprintf("%d", p.Factor),
-				fmt.Sprintf("%d", p.D),
-				fmt.Sprintf("%d", p.Stations),
-				fmt.Sprintf("%d", p.Displays),
-				fmt.Sprintf("%.4f", p.WallSeconds),
-				fmt.Sprintf("%.0f", p.IntervalsSec),
-				fmt.Sprintf("%.0f", p.NsPerDisplay),
-				fmt.Sprintf("%d", p.HeapAllocBytes),
-			)
-		}
-		return tbl.CSV()
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Scale-mode trajectory (%s): quick geometry grown by factor\n", mode)
-	fmt.Fprintf(&b, "%7s %7s %9s %9s %9s %13s %13s\n", "factor", "disks", "stations", "displays", "wall(s)", "intervals/s", "ns/display")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%7d %7d %9d %9d %9.4f %13.0f %13.0f\n",
-			p.Factor, p.D, p.Stations, p.Displays, p.WallSeconds, p.IntervalsSec, p.NsPerDisplay)
-	}
-	return b.String()
 }
 
 // parseCounts reads a comma-separated list of positive counts; empty

@@ -17,9 +17,9 @@ type Process struct {
 	done   bool
 
 	// runfn is the process's persistent wakeup closure: every Hold,
-	// Signal fire, facility handover, and queue wakeup schedules this
-	// one function, so blocking and unblocking a process allocates
-	// nothing after Spawn.
+	// Signal fire, and facility handover schedules this one function,
+	// so blocking and unblocking a process allocates nothing after
+	// Spawn.
 	runfn func()
 }
 

@@ -115,9 +115,9 @@ func (k *Kernel) Stop() { k.stopped = true }
 // the clock would pass horizon.  Events scheduled exactly at horizon
 // fire before Run returns (TestHorizonBoundary pins this); only
 // strictly later events are left for a future Run.  It returns the
-// final simulated time.  Processes still blocked on signals,
-// facilities, or queues when the calendar empties simply never resume
-// — the simulation has quiesced, which is how CSIM models also end;
+// final simulated time.  Processes still blocked on signals or
+// facilities when the calendar empties simply never resume — the
+// simulation has quiesced, which is how CSIM models also end;
 // Quiesced reports that state.
 func (k *Kernel) Run(horizon Time) Time {
 	k.stopped = false

@@ -394,3 +394,19 @@ func BenchmarkProcessSwitch(b *testing.B) {
 	b.ResetTimer()
 	k.Run(Infinity)
 }
+
+func TestQuiesced(t *testing.T) {
+	k := New()
+	never := k.NewSignal("never")
+	k.Spawn("waiter", func(p *Process) { p.Wait(never) })
+	k.Run(Infinity)
+	if !k.Quiesced() {
+		t.Fatal("process blocked on a signal that never fires not reported as quiesced")
+	}
+	k2 := New()
+	k2.Spawn("worker", func(p *Process) { p.Hold(1) })
+	k2.Run(Infinity)
+	if k2.Quiesced() {
+		t.Fatal("completed model reported quiesced")
+	}
+}

@@ -1,5 +1,8 @@
 #!/bin/sh
-# CI gate: vet, build, race-test, and short-benchmark the repo.
+# CI gate: vet, build, race-test, and short-benchmark the repo, then
+# compare its performance against the parent commit on this host
+# (scripts/benchgate: perfbench workloads and Go benchmarks, run
+# alternately at HEAD~1 and the working tree; needs a parent commit).
 # Run from anywhere; operates on the repository containing it.
 set -eu
 
@@ -71,11 +74,7 @@ done
 echo "-- technique: staggered (explicit stride k=1)"
 go run ./cmd/sweep -scale quick -technique staggered -k 1 -stations 1,8 -dist 20 -csv
 
-echo "== perf-regression report + gate (>20% ns/op over BENCH_8 reference fails)"
-# The report goes to a temp file: the tracked BENCH_*.json files are
-# re-based deliberately, never as a side effect of a CI run.
-report=$(mktemp "${TMPDIR:-/tmp}/bench.XXXXXX")
-trap 'rm -f "$report"' EXIT
-go run ./cmd/bench -out "$report" -maxregress 0.20
+echo "== regression gate: parent (HEAD~1) vs working tree, paired on this host"
+go run ./scripts/benchgate HEAD~1
 
 echo "CI OK"
