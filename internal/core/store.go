@@ -51,11 +51,9 @@ func NewStore(l Layout, capacityFragments int) (*Store, error) {
 	}, nil
 }
 
-// Reserve pre-sizes the placement and residency tables to hold n
-// object ids without reallocating.  Preload loops that place objects
-// in popularity (non-ascending id) order should call this once so the
-// tables are built in a single allocation.
-func (s *Store) Reserve(n int) {
+// reserve sizes the placement and residency tables to hold ids
+// [0, n) without reallocating.
+func (s *Store) reserve(n int) {
 	if n <= len(s.placed) {
 		return
 	}
@@ -67,29 +65,30 @@ func (s *Store) Reserve(n int) {
 	s.resident = nextR
 }
 
-// ensure extends the residency index to cover id with amortized
-// (capacity-doubling) growth, so out-of-order placement is O(n) total
-// rather than quadratic in reallocation traffic.
+// ensure extends the residency index to cover id.
 func (s *Store) ensure(id int) {
 	if id < s.ids {
 		return
 	}
-	if id >= len(s.placed) {
-		n := len(s.placed) * 2
-		if n < id+1 {
-			n = id + 1
-		}
-		if n < 64 {
-			n = 64
-		}
-		nextP := make([]placedRec, n)
-		copy(nextP, s.placed)
-		s.placed = nextP
-		nextR := make([]uint64, (n+63)/64)
-		copy(nextR, s.resident)
-		s.resident = nextR
-	}
+	s.grow(id)
 	s.ids = id + 1
+}
+
+// grow sizes the tables to hold id with amortized (capacity-doubling)
+// growth, so out-of-order placement is O(n) total rather than
+// quadratic in reallocation traffic.
+func (s *Store) grow(id int) {
+	if id < len(s.placed) {
+		return
+	}
+	n := len(s.placed) * 2
+	if n < id+1 {
+		n = id + 1
+	}
+	if n < 64 {
+		n = 64
+	}
+	s.reserve(n)
 }
 
 // Layout returns the store's layout.
@@ -271,6 +270,146 @@ func (s *Store) Place(id, m, n int) (Placement, error) {
 		}
 	}
 	return Placement{}, fmt.Errorf("core: no start disk can hold object %d (%d fragments)", id, n*m)
+}
+
+// Preload places the objects of ids in order, object id with degree
+// degree(id) and n subobjects, and returns how many it placed: the
+// first placed entries of ids.  The result is the one a loop of Place
+// calls that stops at the first error would produce, down to the
+// cursor.  The id tables are sized for ids [0, catalog) up front.
+//
+// Place puts each object at the cursor when it fits there, and the
+// cursor sequence that all-first-try placement would follow is known
+// in advance: first = cursor, then cursor = first + (N−1)·K + M mod D.
+// Disk usage only grows, so if the summed footprints of a prefix fit
+// on top of the current usage, every object of the prefix fits at its
+// cursor when its turn comes (and the farm has room for it).  Preload
+// commits the longest such prefix in one pass over a ring difference
+// array and hands the rest of the list to the sequential Place loop.
+func (s *Store) Preload(ids []int, degree func(id int) int, n, catalog int) int {
+	s.reserve(catalog)
+	placed := s.preloadPrefix(ids, degree, n)
+	for _, id := range ids[placed:] {
+		if _, err := s.Place(id, degree(id), n); err != nil {
+			break
+		}
+		placed++
+	}
+	return placed
+}
+
+// preloadPrefix commits the longest prefix of ids whose objects all
+// fit at the cursor, and returns its length.
+func (s *Store) preloadPrefix(ids []int, degree func(id int) int, n int) int {
+	d := s.layout.D
+	if n < 1 {
+		return 0
+	}
+	// The candidate prefix ends where Place would fail for a reason
+	// other than space: a negative id, an id that is resident already
+	// or repeats within the prefix (its bit is set as it is passed),
+	// or an invalid degree.
+	end := 0
+	for _, id := range ids {
+		if id < 0 {
+			break
+		}
+		s.grow(id)
+		bit := uint64(1) << uint(id&63)
+		if m := degree(id); s.resident[id>>6]&bit != 0 || m < 1 || m > d {
+			break
+		}
+		s.resident[id>>6] |= bit
+		end++
+	}
+	if end == 0 {
+		return 0
+	}
+	// Bisect for the longest prefix whose footprints fit.
+	diff := make([]int, d+1)
+	fit := end
+	if !s.footprints(ids[:end], degree, n, diff, false) {
+		lo, hi := 0, end
+		for hi-lo > 1 {
+			mid := (lo + hi) / 2
+			if s.footprints(ids[:mid], degree, n, diff, false) {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		fit = lo
+	}
+	for _, id := range ids[fit:end] {
+		s.resident[id>>6] &^= 1 << uint(id&63)
+	}
+	s.footprints(ids[:fit], degree, n, diff, true)
+	return fit
+}
+
+// footprints adds the footprints of ids, placed one after another at
+// the cursor, into the zeroed ring difference array diff (length D+1)
+// and reports whether the usage they add fits every disk.  With commit
+// set (and the objects known to fit) it also writes their placement
+// records, the per-disk usage, and the cursor.  diff is left zeroed.
+func (s *Store) footprints(ids []int, degree func(id int) int, n int, diff []int, commit bool) bool {
+	d, k := s.layout.D, s.layout.K
+	add := func(start, length int) {
+		diff[start]++
+		if end := start + length; end <= d {
+			diff[end]--
+		} else {
+			diff[d]--
+			diff[0]++
+			diff[end-d]--
+		}
+	}
+	laps, cursor, maxID := 0, s.cursor, -1
+	for _, id := range ids {
+		m := degree(id)
+		if commit {
+			s.placed[id] = placedRec{first: int32(cursor), m: int32(m), n: int32(n)}
+			if id > maxID {
+				maxID = id
+			}
+		}
+		if k == m {
+			// Subobjects abut: one run of N·M ring positions.
+			laps += n * m / d
+			if r := n * m % d; r > 0 {
+				add(cursor, r)
+			}
+		} else {
+			for sub, start := 0, cursor; sub < n; sub++ {
+				add(start, m)
+				if start += k; start >= d {
+					start -= d
+				}
+			}
+		}
+		cursor = (cursor + (n-1)*k + m) % d
+	}
+	ok, run := true, 0
+	for i := 0; i < d; i++ {
+		run += diff[i]
+		diff[i] = 0
+		c := laps + run
+		if commit {
+			s.used[i] += int32(c)
+			s.free -= c
+		} else if int(s.used[i])+c > s.capacity {
+			ok = false
+		}
+	}
+	diff[d] = 0
+	if commit {
+		s.count += len(ids)
+		s.cursor = cursor
+		if maxID >= s.ids {
+			s.ids = maxID + 1
+		}
+	}
+	return ok
 }
 
 // Evict removes object id and frees its space.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -317,5 +318,214 @@ func BenchmarkStorePlaceEvict(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkStorePreload is the Store placement layer at the hotset
+// geometry: a fresh store of 100,000 disks (120,000 fragments each)
+// preloaded with 80,000 objects of 30 subobjects at K = M = 5.
+func BenchmarkStorePreload(b *testing.B) {
+	l := mustLayout(b, 100000, 5)
+	ids := make([]int, 80000)
+	for i := range ids {
+		ids[i] = i
+	}
+	degree := func(int) int { return 5 }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := mustStore(b, l, 120000)
+		if got := s.Preload(ids, degree, 30, len(ids)); got != len(ids) {
+			b.Fatalf("placed %d of %d objects", got, len(ids))
+		}
+	}
+}
+
+// preloadCase decodes a fuzz input into a store geometry and an
+// ordered id list.  mode packs the variants: bit 0 mixes degrees,
+// bit 1 gives id 13 an invalid degree, and bits 4–5 count the list's
+// trailing ids placed beforehand (so Preload starts on a store that
+// is not empty and meets resident ids).
+type preloadCase struct {
+	d, k, m, capacity, n int
+	ids                  []int
+	degree               func(id int) int
+	before               []int
+}
+
+// Each uint16 field maps to 1 + x mod a bound, so a seed stores each
+// value minus one.
+func decodePreloadCase(d, k, m, capacity, n uint16, mode uint8, list []byte) preloadCase {
+	c := preloadCase{d: 1 + int(d)%1024}
+	c.k = 1 + int(k)%c.d
+	c.m = 1 + int(m)%c.d
+	c.capacity = 1 + int(capacity)%4096
+	c.n = 1 + int(n)%4096
+	c.degree = func(id int) int {
+		switch {
+		case mode&2 != 0 && id == 13:
+			return c.d + 1
+		case mode&1 != 0:
+			return 1 + (id*7)%c.m
+		}
+		return c.m
+	}
+	for _, b := range list {
+		c.ids = append(c.ids, int(b))
+	}
+	before := int(mode>>4) % 4
+	if before > len(c.ids) {
+		before = len(c.ids)
+	}
+	c.before = c.ids[len(c.ids)-before:]
+	return c
+}
+
+// checkPreload builds the case's store twice, once through Preload and
+// once through the sequential Place loop Preload replaces, and fails
+// unless every piece of state agrees.
+func checkPreload(t *testing.T, c preloadCase) {
+	l := Layout{D: c.d, K: c.k}
+	bulk, seq := mustStore(t, l, c.capacity), mustStore(t, l, c.capacity)
+	for _, s := range []*Store{bulk, seq} {
+		for _, id := range c.before {
+			_, _ = s.Place(id, c.degree(id), c.n)
+		}
+	}
+	got := bulk.Preload(c.ids, c.degree, c.n, 256)
+	want := 0
+	for _, id := range c.ids {
+		if _, err := seq.Place(id, c.degree(id), c.n); err != nil {
+			break
+		}
+		want++
+	}
+	if got != want {
+		t.Fatalf("Preload placed %d objects, the Place loop %d", got, want)
+	}
+	if bulk.free != seq.free || bulk.count != seq.count || bulk.cursor != seq.cursor || bulk.ids != seq.ids {
+		t.Fatalf("free/count/cursor/ids: Preload %d/%d/%d/%d, Place loop %d/%d/%d/%d",
+			bulk.free, bulk.count, bulk.cursor, bulk.ids, seq.free, seq.count, seq.cursor, seq.ids)
+	}
+	for d := 0; d < c.d; d++ {
+		if bulk.used[d] != seq.used[d] {
+			t.Fatalf("disk %d: Preload used %d, Place loop %d", d, bulk.used[d], seq.used[d])
+		}
+	}
+	record := func(s *Store, id int) placedRec {
+		if id < len(s.placed) {
+			return s.placed[id]
+		}
+		return placedRec{}
+	}
+	for id := 0; id < 256; id++ {
+		if bulk.Resident(id) != seq.Resident(id) || record(bulk, id) != record(seq, id) {
+			t.Fatalf("object %d: Preload resident=%v %+v, Place loop resident=%v %+v",
+				id, bulk.Resident(id), record(bulk, id), seq.Resident(id), record(seq, id))
+		}
+	}
+}
+
+// preloadSeeds are the differential test's cases and the fuzz
+// target's seed corpus: the geometries of the Store tests above plus
+// the preload regimes the schedulers produce.
+var preloadSeeds = []struct {
+	name                 string
+	d, k, m, capacity, n uint16
+	mode                 uint8
+	list                 []byte
+}{
+	// Table 3 proportions: 200 objects exactly fill the farm, the
+	// 201st does not fit.
+	{"table3-exact-fit", 999, 4, 4, 2999, 2999, 0, seqIDs(0, 201)},
+	// The quick farm with stride 1 (k < M): ramps keep the farm from
+	// packing exactly, so the bulk prefix ends early.  In the k1-tail
+	// and k7-tail farms the sequential tail then places more objects
+	// off the cursor.
+	{"k1-exact-fit", 49, 0, 4, 59, 29, 0, seqIDs(0, 40)},
+	{"k1-tail", 9, 0, 4, 59, 4, 0, seqIDs(0, 40)},
+	{"k7-tail", 9, 6, 1, 59, 4, 0, seqIDs(0, 80)},
+	{"k3-overfull", 7, 2, 3, 49, 6, 0, seqIDs(0, 60)},
+	// TestStoreCapacityEnforced's farm, over-filled.
+	{"capacity", 3, 0, 3, 9, 8, 0, []byte{1, 2, 3, 4}},
+	// Mixed degrees (Config.Degrees) and an invalid degree.
+	{"mixed", 99, 4, 7, 199, 29, 1, seqIDs(0, 120)},
+	{"invalid-degree", 99, 4, 4, 199, 9, 2, seqIDs(0, 30)},
+	// PreloadObjects-style Zipf-rank shards, one with a duplicate.
+	{"shard", 49, 4, 4, 59, 29, 0, []byte{1, 5, 9, 13, 17, 21, 25, 29}},
+	{"shard-duplicate", 49, 4, 4, 599, 29, 0, []byte{0, 4, 8, 4, 12}},
+	// Ids placed beforehand: the store is not empty and the list
+	// meets a resident id.
+	{"placed-before", 29, 2, 4, 99, 9, 0x21, []byte{3, 1, 4, 15, 9, 2, 6, 7}},
+	{"stride-d", 9, 9, 2, 39, 5, 0x10, seqIDs(0, 30)},
+}
+
+func seqIDs(from, to int) []byte {
+	var b []byte
+	for id := from; id < to; id++ {
+		b = append(b, byte(id))
+	}
+	return b
+}
+
+// TestStorePreloadMatchesPlace is the differential test of Preload
+// against the sequential Place loop on the seed corpus.
+func TestStorePreloadMatchesPlace(t *testing.T) {
+	for _, sc := range preloadSeeds {
+		t.Run(sc.name, func(t *testing.T) {
+			checkPreload(t, decodePreloadCase(sc.d, sc.k, sc.m, sc.capacity, sc.n, sc.mode, sc.list))
+		})
+	}
+}
+
+func FuzzStorePreload(f *testing.F) {
+	for _, sc := range preloadSeeds {
+		f.Add(sc.d, sc.k, sc.m, sc.capacity, sc.n, sc.mode, sc.list)
+	}
+	f.Fuzz(func(t *testing.T, d, k, m, capacity, n uint16, mode uint8, list []byte) {
+		checkPreload(t, decodePreloadCase(d, k, m, capacity, n, mode, list))
+	})
+}
+
+// TestVDRStorePreloadMatchesFindFreeCluster checks VDRStore.Preload
+// against the loop it replaces, FindFreeCluster then PlaceReplica per
+// entry, on random farms: replicas placed beforehand (so clusters
+// start unequal), repeated ids (extra copies), and entries that fit
+// nowhere.
+func TestVDRStorePreloadMatchesFindFreeCluster(t *testing.T) {
+	err := quick.Check(func(clusters, capacity, n uint8, before, list []uint8) bool {
+		r, m := 1+int(clusters)%12, 3
+		cp, sub := 1+int(capacity)%40, 1+int(n)%10
+		bulk, _ := NewVDRStore(r*m, m, cp)
+		seq, _ := NewVDRStore(r*m, m, cp)
+		for i, b := range before {
+			for _, v := range []*VDRStore{bulk, seq} {
+				_ = v.PlaceReplica(100+i, int(b)%r, 1+int(b)%7)
+			}
+		}
+		ids := make([]int, len(list))
+		for i, b := range list {
+			ids[i] = int(b) % 16
+		}
+		got, want := bulk.Preload(ids, sub), 0
+		for _, id := range ids {
+			if c, ok := seq.FindFreeCluster(id, sub); ok {
+				if seq.PlaceReplica(id, c, sub) != nil {
+					return false
+				}
+				want++
+			}
+		}
+		if got != want {
+			return false
+		}
+		for c := 0; c < r; c++ {
+			if bulk.ClusterFree(c) != seq.ClusterFree(c) || !slices.Equal(bulk.ObjectsOn(c), seq.ObjectsOn(c)) {
+				return false
+			}
+		}
+		return bulk.UniqueResident() == seq.UniqueResident()
+	}, &quick.Config{MaxCount: 500})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

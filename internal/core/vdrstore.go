@@ -204,3 +204,92 @@ func (v *VDRStore) FindFreeCluster(id, n int) (cluster int, ok bool) {
 	}
 	return best, best >= 0
 }
+
+// Preload places one replica of n subobjects per entry of ids, in
+// order (an id listed twice gets two copies), each on the cluster
+// FindFreeCluster would choose: the emptiest with room that holds no
+// replica of the id yet, lowest index on ties.  An entry that fits
+// nowhere is skipped.  It returns the number of replicas placed.
+//
+// Instead of scanning all R clusters per entry, it keeps the clusters
+// in a heap ordered by (used, index): the first cluster off the heap
+// that holds no copy of the id is FindFreeCluster's choice, and if it
+// lacks room so does every other.  Only the few clusters that already
+// hold the id are popped and pushed back.
+func (v *VDRStore) Preload(ids []int, n int) int {
+	if n < 1 {
+		return 0
+	}
+	h := clusterHeap{used: v.used}
+	for c := 0; c < v.clusters; c++ {
+		h.push(c)
+	}
+	placed := 0
+	var held []int
+	for _, id := range ids {
+		if v.ClusterFree(h.c[0]) < n {
+			break // usage only grows: nothing fits any later entry either
+		}
+		held = held[:0]
+		for len(h.c) > 0 && v.HasReplicaOn(id, h.c[0]) {
+			held = append(held, h.pop())
+		}
+		if len(h.c) > 0 && v.ClusterFree(h.c[0]) >= n {
+			c := h.pop()
+			// The checks PlaceReplica makes have all passed.
+			_ = v.PlaceReplica(id, c, n)
+			h.push(c)
+			placed++
+		}
+		for _, c := range held {
+			h.push(c)
+		}
+	}
+	return placed
+}
+
+// clusterHeap is a binary min-heap of cluster indices ordered by
+// (used, index).
+type clusterHeap struct {
+	used []int
+	c    []int
+}
+
+func (h *clusterHeap) less(i, j int) bool {
+	a, b := h.c[i], h.c[j]
+	return h.used[a] < h.used[b] || h.used[a] == h.used[b] && a < b
+}
+
+func (h *clusterHeap) push(c int) {
+	h.c = append(h.c, c)
+	for i := len(h.c) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			break
+		}
+		h.c[i], h.c[p] = h.c[p], h.c[i]
+		i = p
+	}
+}
+
+func (h *clusterHeap) pop() int {
+	top := h.c[0]
+	last := len(h.c) - 1
+	h.c[0] = h.c[last]
+	h.c = h.c[:last]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < last && h.less(l, least) {
+			least = l
+		}
+		if r < last && h.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h.c[i], h.c[least] = h.c[least], h.c[i]
+		i = least
+	}
+	return top
+}

@@ -10,8 +10,6 @@
 package rng
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math"
 )
 
@@ -29,8 +27,12 @@ const pcgMultiplier = 6364136223846793005
 // streams with different seq values are statistically independent even
 // when they share a seed.
 func NewStream(seed, seq uint64) *Stream {
-	s := &Stream{inc: (seq << 1) | 1}
-	s.state = 0
+	s := newStream(seed, seq)
+	return &s
+}
+
+func newStream(seed, seq uint64) Stream {
+	s := Stream{inc: (seq << 1) | 1}
 	s.next()
 	s.state += seed
 	s.next()
@@ -130,14 +132,51 @@ func NewSource(seed uint64) *Source {
 // twice with the same name returns streams that generate identical
 // sequences.
 func (s *Source) Stream(name string) *Stream {
-	h := fnv.New64a()
-	// fnv never fails on Write.
-	_, _ = h.Write([]byte(name))
-	return NewStream(s.seed, h.Sum64())
+	return NewStream(s.seed, fnvString(fnvOffset, name))
 }
 
 // StreamN returns the stream for a name/index pair, for per-entity
-// streams such as one stream per display station.
+// streams such as one stream per display station.  It is the stream
+// Stream(fmt.Sprintf("%s/%d", name, n)) returns, hashed without
+// building the string; it is small enough to inline, so a caller that
+// copies the result out allocates nothing.
 func (s *Source) StreamN(name string, n int) *Stream {
-	return s.Stream(fmt.Sprintf("%s/%d", name, n))
+	st := s.streamN(name, n)
+	return &st
+}
+
+func (s *Source) streamN(name string, n int) Stream {
+	h := fnvString(fnvOffset, name)
+	h = (h ^ '/') * fnvPrime
+	u := uint64(n)
+	if n < 0 {
+		h = (h ^ '-') * fnvPrime
+		u = -u
+	}
+	var digits [20]byte
+	i := len(digits)
+	for {
+		i--
+		digits[i] = byte('0' + u%10)
+		if u /= 10; u == 0 {
+			break
+		}
+	}
+	for _, c := range digits[i:] {
+		h = (h ^ uint64(c)) * fnvPrime
+	}
+	return newStream(s.seed, h)
+}
+
+// FNV-1a, 64-bit (the hash/fnv New64a constants).
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
 }

@@ -1,6 +1,8 @@
 package rng
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -130,6 +132,40 @@ func TestSourceStreamN(t *testing.T) {
 	if src.StreamN("station", 1).Uint64() == src.StreamN("station", 2).Uint64() {
 		t.Fatal("per-index streams coincide")
 	}
+}
+
+// TestStreamNMatchesFormattedName pins StreamN to the stream of the
+// formatted name it replaced, so every per-station, think, wear and
+// disk stream stays byte-identical, and pins the inline FNV-1a to
+// hash/fnv.
+func TestStreamNMatchesFormattedName(t *testing.T) {
+	src := NewSource(7)
+	for _, name := range []string{"station", "think", "fault-wear", ""} {
+		h := fnv.New64a()
+		h.Write([]byte(name))
+		if got := fnvString(fnvOffset, name); got != h.Sum64() {
+			t.Fatalf("fnvString(%q) = %#x, hash/fnv %#x", name, got, h.Sum64())
+		}
+		for i := -3; i <= 100000; i++ {
+			if got, want := *src.StreamN(name, i), *src.Stream(fmt.Sprintf("%s/%d", name, i)); got != want {
+				t.Fatalf("StreamN(%q, %d) = %+v, want %+v", name, i, got, want)
+			}
+		}
+	}
+	for _, i := range []int{math.MinInt64, math.MinInt64 + 1, math.MaxInt64} {
+		if got, want := *src.StreamN("x", i), *src.Stream(fmt.Sprintf("x/%d", i)); got != want {
+			t.Fatalf("StreamN(x, %d) = %+v, want %+v", i, got, want)
+		}
+	}
+}
+
+func TestStreamNAllocatesNothing(t *testing.T) {
+	src := NewSource(7)
+	var st Stream
+	if a := testing.AllocsPerRun(100, func() { st = *src.StreamN("station", 12345) }); a != 0 {
+		t.Fatalf("StreamN allocates %v times per call", a)
+	}
+	_ = st
 }
 
 func TestDiscreteValidation(t *testing.T) {

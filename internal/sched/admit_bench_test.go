@@ -142,3 +142,21 @@ func BenchmarkAdmitVDR(b *testing.B) {
 	b.ReportMetric(float64(waiters)/n, "waiters")
 	b.ReportMetric(float64(admits)/n, "admits/interval")
 }
+
+// BenchmarkVDRWarmStart is the VDR warm start alone on the Table 3
+// farm at 256 stations: the replica candidates of the 2,000-object
+// catalog ranked by marginal value and placed on the 200 clusters.
+func BenchmarkVDRWarmStart(b *testing.B) {
+	e, _, err := NewEngineFor("vdr", Table3Config(256, 20, 1), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var t vdrTech
+		if err := t.bind(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -106,10 +106,9 @@ func RunDESValidation(cfg Config) (int, error) {
 	if preload == 0 {
 		preload = cfg.DefaultPreload()
 	}
-	for _, id := range gen.TopObjects(preload) {
-		if _, err := e.store.Place(id, cfg.M, cfg.Subobjects); err != nil {
-			break
-		}
+	ids := gen.TopObjects(preload)
+	degree := func(int) int { return cfg.M }
+	for _, id := range ids[:store.Preload(ids, degree, cfg.Subobjects, cfg.Objects)] {
 		e.ready[id] = true
 	}
 

@@ -222,18 +222,15 @@ func (t *stripedTech) bind(e *Engine) error {
 	// the last fragment, so preloading stops at the first object that
 	// no longer fits — exactly what on-demand materialization would
 	// have produced.  Objects arrive in popularity (non-ascending id)
-	// order; Reserve keeps the store tables from reallocating per id.
-	// A cluster driver overrides the set outright (PreloadObjects) to
-	// spread replicas across member servers by Zipf rank.
-	t.store.Reserve(cfg.Objects)
+	// order.  A cluster driver overrides the set outright
+	// (PreloadObjects) to spread replicas across member servers by
+	// Zipf rank.
 	ids := cfg.PreloadObjects
 	if ids == nil {
 		ids = e.gen.TopObjects(preload)
 	}
-	for _, id := range ids {
-		if _, err := t.store.Place(id, cfg.Degree(id), cfg.Subobjects); err != nil {
-			break
-		}
+	placed := t.store.Preload(ids, cfg.Degree, cfg.Subobjects, cfg.Objects)
+	for _, id := range ids[:placed] {
 		t.ready[id] = true
 	}
 	return nil

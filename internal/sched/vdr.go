@@ -183,15 +183,11 @@ func (t *vdrTech) bind(e *Engine) error {
 		}
 		return cands[i].copy < cands[j].copy
 	})
-	for _, cd := range cands {
-		c, ok := store.FindFreeCluster(cd.id, cfg.Subobjects)
-		if !ok {
-			continue
-		}
-		if err := store.PlaceReplica(cd.id, c, cfg.Subobjects); err != nil {
-			return fmt.Errorf("sched: VDR preload failed: %w", err)
-		}
+	ids := make([]int, len(cands))
+	for i, cd := range cands {
+		ids[i] = cd.id
 	}
+	store.Preload(ids, cfg.Subobjects)
 	return nil
 }
 

@@ -75,6 +75,8 @@ var goBenches = []struct {
 		"BenchmarkCluster4", "BenchmarkFailover4",
 	}},
 	{"./internal/sim", []string{"BenchmarkCalendarSchedule", "BenchmarkCalendarCancel"}},
+	{"./internal/core", []string{"BenchmarkStorePreload"}},
+	{"./internal/sched", []string{"BenchmarkVDRWarmStart"}},
 }
 
 // spec is what the gate reads of BENCHMARK.json.

@@ -44,6 +44,10 @@ go test -bench 'BenchmarkFigure8a$|BenchmarkTable4$' -benchmem -benchtime 3x -ru
 echo "== admission-scan microbenchmarks (striped hot queue and spread queue, VDR on Table 3)"
 go test -bench 'BenchmarkAdmit' -benchmem -benchtime 50x -run '^$' ./internal/sched
 
+echo "== preload microbenchmarks (striped bulk preload at the hotset geometry, VDR warm start on Table 3)"
+go test -bench 'BenchmarkStorePreload$' -benchmem -benchtime 20x -run '^$' ./internal/core
+go test -bench 'BenchmarkVDRWarmStart$' -benchmem -benchtime 200x -run '^$' ./internal/sched
+
 echo "== kernel calendar microbenchmarks (short mode)"
 go test -bench 'BenchmarkCalendar' -benchmem -benchtime 100000x -run '^$' ./internal/sim
 
